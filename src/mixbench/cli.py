@@ -55,6 +55,9 @@ DEFAULT_TOLERANCE = 1e-10
 DEFAULT_CAP = 8
 VERIFY_PAIRS = ((1 + 0j, 1 + 0j), (1 + 0j, -1 + 0j), (0.3 + 0.1j, 0.2 + 0j))
 VERIFY_EPSILONS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5)
+# Largest verify --nmax: the boson grids and the coherent-gain records stop
+# here, and the fermion grids stop at 7 (type1) and 6 (type2).
+VERIFY_NMAX_LIMIT = 8
 
 CSV_COLUMNS = (
     "experiment",
@@ -153,7 +156,10 @@ def parse_float_grid(text: str, name: str) -> tuple[float, ...]:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; blank lines and # comments allowed."""
+    """Parse a flat ``key = value`` file; blank lines and # comments allowed.
+
+    Keys outside ``_CONFIG_KEYS`` are a usage error for every command.
+    """
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -167,6 +173,9 @@ def read_config_file(path: str) -> dict[str, str]:
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
+    unknown = set(values) - _CONFIG_KEYS
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return values
 
 
@@ -192,9 +201,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = read_config_file(args.config)
-        unknown = set(file_values) - _CONFIG_KEYS
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     def pick(key: str) -> str | None:
         flag = getattr(args, key, None)
@@ -581,10 +587,6 @@ def _do_run(args: argparse.Namespace) -> int:
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
 
 
-def _mode_counts(term) -> tuple[int, int, int, int]:
-    return tuple(sector_of(term))
-
-
 def _do_paths(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     points = config_points(cfg)
@@ -610,11 +612,14 @@ def _do_paths(args: argparse.Namespace) -> int:
             f"destination has {len(destination)} slots, state has {state.n} particles"
         )
     result = apply_first_order(state)
+    by_destination: dict[tuple, list] = {}
+    for path in result.paths:
+        by_destination.setdefault(path.destination_term, []).append(path)
     if cfg.statistics is Statistics.FERMION and all(s.q is None for s in destination):
         # Aggregate report over every labelled destination in the sector.
-        wanted = _mode_counts(destination)
+        wanted = sector_of(destination)
         matches = sorted(
-            {p.destination_term for p in result.paths if _mode_counts(p.destination_term) == wanted},
+            (dest for dest in by_destination if sector_of(dest) == wanted),
             key=render_term,
         )
         if not matches:
@@ -627,11 +632,11 @@ def _do_paths(args: argparse.Namespace) -> int:
 
     payload = []
     for dest in matches:
-        paths = [p for p in result.paths if p.destination_term == dest]
-        paths.sort(key=lambda p: (render_term(p.source_term), p.process, p.phi_slot, p.psi_slot))
-        total = result.final_state.terms.get(dest)
-        total_form = total if total is not None else None
-        payload.append((dest, paths, total_form))
+        paths = sorted(
+            by_destination.get(dest, ()),
+            key=lambda p: (render_term(p.source_term), p.process, p.phi_slot, p.psi_slot),
+        )
+        payload.append((dest, paths, result.final_state.terms.get(dest)))
 
     if cfg.fmt == "json":
         doc = []
@@ -700,7 +705,7 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
     cap = nmax_cap()
     records: list[VerificationRecord] = []
 
-    for statistics, n_top in ((Statistics.BOSON, min(nmax, 8)), (Statistics.FERMION, min(nmax, 7))):
+    for statistics, n_top in ((Statistics.BOSON, nmax), (Statistics.FERMION, min(nmax, 7))):
         for n1, n2, n3 in _fock_grid(n_top):
             point = {"n1": n1, "n2": n2, "n3": n3}
             engines = engines_for(EXPERIMENT_FOCK, statistics, point, None, cap)
@@ -712,7 +717,7 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
                     )
                 )
 
-    for statistics, n_top in ((Statistics.BOSON, min(nmax, 8)), (Statistics.FERMION, min(nmax, 6))):
+    for statistics, n_top in ((Statistics.BOSON, nmax), (Statistics.FERMION, min(nmax, 6))):
         for n in range(2, n_top + 1):
             for epsilon in VERIFY_EPSILONS:
                 point = {"n": n, "epsilon": epsilon}
@@ -769,7 +774,7 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
 
     # The published per-term gain is exactly twice the counting ratio; keep
     # one known-divergence record per n so reports quantify it.
-    for n in range(2, min(nmax, 8) + 1):
+    for n in range(2, nmax + 1):
         counts = coherent_counts(n, 1, 1, 0.2)
         records.append(
             VerificationRecord(
@@ -836,6 +841,10 @@ def _do_verify(args: argparse.Namespace) -> int:
         nmax = 6
     if nmax < 3:
         raise UsageError("--nmax must be at least 3")
+    if nmax > VERIFY_NMAX_LIMIT:
+        raise UsageError(
+            f"--nmax must be at most {VERIFY_NMAX_LIMIT}, the largest grid verify enumerates"
+        )
     out = args.out or file_values.get("out") or "mixbench_verify.json"
 
     records = verify_records(tolerance, nmax)

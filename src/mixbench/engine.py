@@ -4,13 +4,23 @@ One scattering event takes a phi particle and a psi particle to the output
 modes.  Process A sends the phi particle to v and the psi particle to u;
 process B exchanges the outputs.  The engine applies the event once to
 every stored term, records one path per (term, phi slot, psi slot,
-process), and groups the contributions by destination term.
+process), and sums the paths' signed values per destination term in the
+same single loop, so its work grows with the number of paths.
+
+A fermionic source key is sorted, so its phi slots come first and the two
+new states only move to the right.  Each destination key is made once: the
+new states are inserted into the kept slots by bisection, and the sign is
+the parity of the slots they cross, flipped once more if the pair swaps
+order.  One validated form is built per final term; a path's own form is
+built only when its ``contribution`` is read.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .amplitudes import AmplitudeForm, format_complex, format_form
 from .states import (
@@ -20,9 +30,9 @@ from .states import (
     SectorSpec,
     SingleParticleState,
     Statistics,
+    _term_sort_key,
     canonical_fermion_term,
     inner_product,
-    make_state,
     project_sector,
     render_term,
 )
@@ -44,15 +54,14 @@ PROCESS_A = "A"
 PROCESS_B = "B"
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     """Provenance of a single scattering path.
 
     Slot indices are 0-based positions in the stored source term.  The sign
     is +1 for bosons; for fermions it is the parity picked up when the
-    destination term is brought back to canonical slot order.  The
-    contribution equals sign * (source coefficient) folded into the ca or
-    cb component, depending on the process.
+    destination term is brought back to canonical slot order.  ``value`` is
+    sign * (source coefficient); ``contribution`` places it in the ca or cb
+    component of a form, depending on the process, and is built on access.
     """
 
     source_term: ProductTerm
@@ -60,8 +69,14 @@ class PathRecord:
     phi_slot: int
     psi_slot: int
     sign: int
-    contribution: AmplitudeForm
+    value: complex
     destination_term: ProductTerm
+
+    @property
+    def contribution(self) -> AmplitudeForm:
+        if self.process == PROCESS_A:
+            return AmplitudeForm.process_a(self.value)
+        return AmplitudeForm.process_b(self.value)
 
 
 @dataclass(frozen=True)
@@ -76,65 +91,90 @@ def apply_first_order(state: ManyBodyState) -> ScatterResult:
     For every stored term and every ordered pair of a phi slot and a psi
     slot, both processes are attempted.  A fermionic path is blocked (emits
     nothing) when the destination single-particle state is already occupied
-    in the source term.  Bosonic paths are never blocked.
+    in the source term.  Bosonic paths are never blocked.  Each
+    destination's ca and cb are summed in path order; the final state lists
+    the destinations in canonical term order, exact zeros pruned.
     """
     fermionic = state.statistics is Statistics.FERMION
     paths: list[PathRecord] = []
+    # Destination -> [ca, cb], each summed in path order from its first path.
+    sums: dict[ProductTerm, list[complex]] = {}
     for term, form in state.terms.items():
         if form.ca != 0 or form.cb != 0:
             raise ValueError("state was already scattered; the event applies only once")
-        phi_slots = [i for i, slot in enumerate(term) if slot.mode is Mode.PHI]
-        psi_slots = [j for j, slot in enumerate(term) if slot.mode is Mode.PSI]
-        for i in phi_slots:
-            for j in psi_slots:
-                for process in (PROCESS_A, PROCESS_B):
-                    if process == PROCESS_A:
-                        new_i = SingleParticleState(Mode.V, term[i].q)
-                        new_j = SingleParticleState(Mode.U, term[j].q)
-                    else:
-                        new_i = SingleParticleState(Mode.U, term[i].q)
-                        new_j = SingleParticleState(Mode.V, term[j].q)
-                    if fermionic and _blocked(term, i, j, new_i, new_j):
-                        continue
-                    destination = list(term)
-                    destination[i] = new_i
-                    destination[j] = new_j
-                    dest_term = tuple(destination)
-                    sign = 1
+        if fermionic:
+            if canonical_fermion_term(term)[0] != term:
+                raise ValueError("fermionic state keys must be canonical")
+            occupied = set(term)
+        # Per slot: its index and its state after process A and after process B.
+        phis = [
+            (i, SingleParticleState(Mode.V, s.q), SingleParticleState(Mode.U, s.q))
+            for i, s in enumerate(term)
+            if s.mode is Mode.PHI
+        ]
+        psis = [
+            (j, SingleParticleState(Mode.U, s.q), SingleParticleState(Mode.V, s.q))
+            for j, s in enumerate(term)
+            if s.mode is Mode.PSI
+        ]
+        for i, phi_a, phi_b in phis:
+            for j, psi_a, psi_b in psis:
+                # component: where the process puts its value, 0 for ca, 1 for cb
+                for process, component, new_i, new_j in (
+                    (PROCESS_A, 0, phi_a, psi_a),
+                    (PROCESS_B, 1, phi_b, psi_b),
+                ):
                     if fermionic:
-                        dest_term, sign = canonical_fermion_term(dest_term)
-                    value = sign * form.c0
-                    if process == PROCESS_A:
-                        contribution = AmplitudeForm.process_a(value)
+                        # The two fresh states occupy different modes, so
+                        # they never collide with each other.
+                        if new_i in occupied or new_j in occupied:
+                            continue
+                        dest_term, sign = _fermion_destination(term, i, j, new_i, new_j)
                     else:
-                        contribution = AmplitudeForm.process_b(value)
-                    paths.append(
-                        PathRecord(term, process, i, j, sign, contribution, dest_term)
-                    )
-    final = make_state(
-        state.statistics,
-        state.n,
-        ((p.destination_term, p.contribution) for p in paths),
-        validate=False,
-    )
-    return ScatterResult(final, tuple(paths))
+                        destination = list(term)
+                        destination[i] = new_i
+                        destination[j] = new_j
+                        dest_term = tuple(destination)
+                        sign = 1
+                    value = sign * form.c0
+                    paths.append(PathRecord(term, process, i, j, sign, value, dest_term))
+                    total = sums.get(dest_term)
+                    if total is None:
+                        total = sums[dest_term] = [0j, 0j]
+                        total[component] = value
+                    else:
+                        total[component] += value
+    final = {
+        term: AmplitudeForm(ca=ca, cb=cb)
+        for term, (ca, cb) in sorted(sums.items(), key=lambda item: _term_sort_key(item[0]))
+        if ca != 0 or cb != 0
+    }
+    return ScatterResult(ManyBodyState(state.statistics, state.n, final), tuple(paths))
 
 
-def _blocked(
+def _fermion_destination(
     term: ProductTerm,
     i: int,
     j: int,
     new_i: SingleParticleState,
     new_j: SingleParticleState,
-) -> bool:
-    # Pauli check against the slots that keep their state.  The two fresh
-    # states occupy different modes, so they never collide with each other.
-    for k, slot in enumerate(term):
-        if k == i or k == j:
-            continue
-        if slot == new_i or slot == new_j:
-            return True
-    return False
+) -> tuple[ProductTerm, int]:
+    """Sorted key and parity of a sorted term whose slots i < j take new states.
+
+    Every slot before i or j sorts below the v and u states, so each new
+    state moves right across the kept slots up to its bisection point; the
+    pair itself adds one more crossing when it ends up in swapped order.
+    """
+    kept = term[:i] + term[i + 1 : j] + term[j + 1 :]
+    at_i = bisect_left(kept, new_i)
+    at_j = bisect_left(kept, new_j)
+    crossings = (at_i - i) + (at_j - (j - 1))
+    if new_i < new_j:
+        dest = kept[:at_i] + (new_i,) + kept[at_i:at_j] + (new_j,) + kept[at_j:]
+    else:
+        crossings += 1
+        dest = kept[:at_j] + (new_j,) + kept[at_j:at_i] + (new_i,) + kept[at_i:]
+    return dest, -1 if crossings % 2 else 1
 
 
 def scattered_norm(state: ManyBodyState, sa: complex, sb: complex) -> float:

@@ -224,17 +224,37 @@ def symmetrize(term: ProductTerm) -> ManyBodyState:
     """Equal-weight sum over the distinct orderings of a bosonic term.
 
     Each distinct ordering receives coefficient 1/sqrt(#orderings), so the
-    result has unit norm regardless of repeated modes.
+    result has unit norm regardless of repeated modes.  The multinomial
+    number of orderings is generated directly, already in canonical term
+    order.
     """
     validate_term(term, Statistics.BOSON)
-    distinct = sorted(set(permutations(term)), key=_term_sort_key)
-    coeff = 1.0 / math.sqrt(len(distinct))
-    return make_state(
-        Statistics.BOSON,
-        len(term),
-        ((p, AmplitudeForm.constant(coeff)) for p in distinct),
-        validate=False,
-    )
+    distinct = list(_multiset_permutations(sorted(term)))
+    form = AmplitudeForm.constant(1.0 / math.sqrt(len(distinct)))
+    return ManyBodyState(Statistics.BOSON, len(term), dict.fromkeys(distinct, form))
+
+
+def _multiset_permutations(items: list) -> Iterator[tuple]:
+    """Distinct orderings of a sorted list in lexicographic order.
+
+    Algorithm L of Knuth, TAOCP 4A, section 7.2.1.2: find the last ascent
+    a[j] < a[j+1], swap a[j] with the last element above it, then reverse
+    the tail.  Bosonic slots all carry q = None, so they compare by mode.
+    """
+    a = list(items)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
 
 
 def antisymmetrize(term: ProductTerm) -> ManyBodyState:

@@ -177,6 +177,7 @@ def test_config_file_with_cli_override(capsys, tmp_path):
         ("run", "--config", "/nonexistent/path.cfg"),
         ("verify", "--nmax", "2"),
         ("verify", "--tolerance", "0"),
+        ("verify", "--nmax", "9"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -191,6 +192,29 @@ def test_unknown_config_key_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 2
     assert "mystery" in err
+
+
+def test_verify_rejects_unknown_config_key(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bogus = 7\nn1 = 5\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "report.json")
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown config keys: bogus" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_refuses_nmax_above_its_grids(capsys, tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("nmax = 9\n")
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "at most 8" in err
+    assert not out_path.exists()
 
 
 def test_fermion_cap_blocks_explicit_firstq(capsys):

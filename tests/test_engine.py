@@ -16,10 +16,13 @@ from mixbench.engine import (
     sector_amplitude,
 )
 from mixbench.states import (
+    ManyBodyState,
     Mode,
+    PauliViolationError,
     SectorSpec,
     SingleParticleState,
     Statistics,
+    canonical_fermion_term,
     coherent_initial_state,
     fock_initial_state,
     make_state,
@@ -196,3 +199,84 @@ def test_number_conservation():
             # one phi and one psi converted into one v and one u
             assert sector[0] == 1 and sector[1] == 1
             assert sector[2] + sector[3] == 3
+
+
+def naive_scatter(state):
+    """Reference scatter: replace the two slots, sort the whole term, merge by make_state."""
+    fermionic = state.statistics is Statistics.FERMION
+    paths = []
+    entries = []
+    for term, form in state.terms.items():
+        for i, phi in enumerate(term):
+            for j, psi in enumerate(term):
+                if phi.mode is not PHI or psi.mode is not PSI:
+                    continue
+                for process, mode_i, mode_j in ((PROCESS_A, V, U), (PROCESS_B, U, V)):
+                    dest = list(term)
+                    dest[i] = SingleParticleState(mode_i, phi.q)
+                    dest[j] = SingleParticleState(mode_j, psi.q)
+                    dest, sign = tuple(dest), 1
+                    if fermionic:
+                        try:
+                            dest, sign = canonical_fermion_term(dest)
+                        except PauliViolationError:
+                            continue  # Pauli blocked
+                    value = sign * form.c0
+                    paths.append((term, process, i, j, sign, value, dest))
+                    make = AmplitudeForm.process_a if process == PROCESS_A else AmplitudeForm.process_b
+                    entries.append((dest, make(value)))
+    return paths, make_state(state.statistics, state.n, entries, validate=False)
+
+
+def assert_matches_naive(state):
+    result = apply_first_order(state)
+    paths, final = naive_scatter(state)
+    assert [tuple(p) for p in result.paths] == paths
+    assert [p.contribution for p in result.paths] == [
+        AmplitudeForm(ca=v) if process == PROCESS_A else AmplitudeForm(cb=v)
+        for _, process, _, _, _, v, _ in paths
+    ]
+    # same forms, bit for bit, in the same canonical order
+    assert list(result.final_state.terms.items()) == list(final.terms.items())
+
+
+fermion_slots = st.builds(SingleParticleState, st.sampled_from(list(Mode)), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(fermion_slots, min_size=2, max_size=8).map(lambda slots: tuple(sorted(slots))),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
+def test_incremental_fermion_sign_matches_full_sort(term, c0):
+    # every unblocked (phi slot, psi slot, process) of a random Slater key
+    state = ManyBodyState(Statistics.FERMION, len(term), {term: AmplitudeForm.constant(c0)})
+    assert_matches_naive(state)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s: fock_initial_state(1, 1, 0, s),
+        lambda s: fock_initial_state(2, 1, 0, s),
+        lambda s: fock_initial_state(1, 1, 1, s),
+        lambda s: fock_initial_state(2, 1, 1, s),
+        lambda s: fock_initial_state(2, 2, 1, s),
+        lambda s: fock_initial_state(2, 3, 4, s),
+        lambda s: coherent_initial_state(3, 0.2, s),
+        lambda s: coherent_initial_state(5, 0.5, s),
+        lambda s: permute_slots(coherent_initial_state(3, 0.2, s), (2, 0, 1)),
+    ],
+)
+def test_scatter_matches_naive_on_test_states(statistics, build):
+    assert_matches_naive(build(statistics))
+
+
+def test_rejects_non_canonical_fermion_key():
+    one = AmplitudeForm.constant(1.0)
+    good = f((PHI, 1), (PSI, 1), (V, 2))
+    scrambled = f((PSI, 1), (PHI, 1), (V, 2))
+    for terms in ({scrambled: one}, {good: one, scrambled: one}):
+        with pytest.raises(ValueError, match="canonical"):
+            apply_first_order(ManyBodyState(Statistics.FERMION, 3, terms))

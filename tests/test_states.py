@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given
@@ -14,6 +14,7 @@ from mixbench.states import (
     SingleParticleState,
     Statistics,
     StatisticsMismatchError,
+    _term_sort_key,
     add_states,
     antisymmetrize,
     canonical_fermion_term,
@@ -115,6 +116,18 @@ def test_symmetrize_counts_distinct_orderings():
     repeated = symmetrize(b(V, V, U))
     assert len(repeated.terms) == 3
     assert state_norm(repeated) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetrize_matches_distinct_permutations(n):
+    # every mode multiset of size n, given sorted and reversed
+    for modes in combinations_with_replacement(list(Mode), n):
+        expected = sorted(set(permutations(b(*modes))), key=_term_sort_key)
+        coeff = AmplitudeForm.constant(1.0 / math.sqrt(len(expected)))
+        for term in (b(*modes), b(*reversed(modes))):
+            state = symmetrize(term)
+            assert list(state.terms) == expected
+            assert all(form == coeff for form in state.terms.values())
 
 
 def test_antisymmetrize_stores_a_single_sorted_key():
