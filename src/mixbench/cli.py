@@ -395,17 +395,6 @@ def point_evaluators(
     return evaluators
 
 
-def compute_amplitude(
-    engine: str,
-    experiment: str,
-    statistics: Statistics,
-    point: dict,
-    sa: complex,
-    sb: complex,
-) -> float:
-    return point_evaluators(experiment, statistics, point, (engine,))[engine](sa, sb)
-
-
 def divergence_note(experiment: str, statistics: Statistics, point: dict) -> str | None:
     if experiment == EXPERIMENT_FOCK and statistics is Statistics.FERMION:
         case = fock_fermion_case(point["n1"], point["n2"], point["n3"])

@@ -30,9 +30,9 @@ from .states import (
     SectorSpec,
     SingleParticleState,
     Statistics,
-    _term_sort_key,
     canonical_fermion_term,
     inner_product,
+    is_canonical_fermion_term,
     project_sector,
     render_term,
 )
@@ -103,7 +103,7 @@ def apply_first_order(state: ManyBodyState) -> ScatterResult:
         if form.ca != 0 or form.cb != 0:
             raise ValueError("state was already scattered; the event applies only once")
         if fermionic:
-            if canonical_fermion_term(term)[0] != term:
+            if not is_canonical_fermion_term(term):
                 raise ValueError("fermionic state keys must be canonical")
             occupied = set(term)
         # Per slot: its index and its state after process A and after process B.
@@ -146,7 +146,7 @@ def apply_first_order(state: ManyBodyState) -> ScatterResult:
                         total[component] += value
     final = {
         term: AmplitudeForm(ca=ca, cb=cb)
-        for term, (ca, cb) in sorted(sums.items(), key=lambda item: _term_sort_key(item[0]))
+        for term, (ca, cb) in sorted(sums.items())
         if ca != 0 or cb != 0
     }
     return ScatterResult(ManyBodyState(state.statistics, state.n, final), tuple(paths))

@@ -6,6 +6,11 @@ sorted tuples of occupied (mode, q) states.  The scattering event is
 applied with explicit ladder-operator algebra, sqrt factors for bosons and
 anticommutation sign strings for fermions, which shares no code with the
 first-quantized path enumeration.
+
+The fermionic coherent occupation state is the first-quantized expansion
+read through ``from_first_quantized``: its Slater keys already are
+occupation keys, so both routes start from the same initial state.  Only
+the scattering is independent, and that is what the cross-check tests.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
 
 from .amplitudes import AmplitudeForm
@@ -23,7 +27,8 @@ from .states import (
     SingleParticleState,
     Statistics,
     StatisticsMismatchError,
-    canonical_fermion_term,
+    coherent_initial_state,
+    is_canonical_fermion_term,
     sector_of,
 )
 
@@ -71,10 +76,9 @@ def from_first_quantized(state: ManyBodyState) -> OccupationState:
     if state.statistics is Statistics.FERMION:
         terms: dict[OccupationKey, AmplitudeForm] = {}
         for term, form in state.terms.items():
-            canonical, sign = canonical_fermion_term(term)
-            if canonical != term or sign != 1:
+            if not is_canonical_fermion_term(term):
                 raise ValueError("fermionic state keys must be canonical")
-            terms[canonical] = form
+            terms[term] = form
         return OccupationState(Statistics.FERMION, state.n, terms)
 
     groups: dict[BosonOccupation, list[AmplitudeForm]] = {}
@@ -126,7 +130,13 @@ def fock_occupation_state(
 def coherent_occupation_state(
     n: int, epsilon: float, statistics: Statistics
 ) -> OccupationState:
-    """Occupation-basis image of n particles in one phi/psi/v superposition."""
+    """Occupation-basis image of n particles in one phi/psi/v superposition.
+
+    Bosons are counted per occupation vector.  Fermions read the Slater keys
+    of ``coherent_initial_state`` through ``from_first_quantized``.
+    """
+    if statistics is Statistics.FERMION:
+        return from_first_quantized(coherent_initial_state(n, epsilon, statistics))
     if n < 2:
         raise ValueError("need at least two particles to scatter a pair")
     if not 0.0 <= epsilon < 1.0:
@@ -134,26 +144,15 @@ def coherent_occupation_state(
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
     terms: dict[OccupationKey, AmplitudeForm] = {}
-    if statistics is Statistics.BOSON:
-        for m in range(n + 1):
-            for k in range(n - m + 1):
-                j = n - m - k
-                coeff = w_in ** (m + k) * w_seed ** j
-                if coeff == 0.0:
-                    continue
-                count = math.comb(n, m) * math.comb(n - m, k)
-                terms[(m, k, j, 0)] = AmplitudeForm.constant(coeff * math.sqrt(count))
-        return OccupationState(statistics, n, terms)
-    for assignment in product((Mode.PHI, Mode.PSI, Mode.V), repeat=n):
-        m = sum(1 for mode in assignment if mode is Mode.PHI)
-        k = sum(1 for mode in assignment if mode is Mode.PSI)
-        coeff = w_in ** (m + k) * w_seed ** (n - m - k)
-        if coeff == 0.0:
-            continue
-        slots = tuple(SingleParticleState(mode, i + 1) for i, mode in enumerate(assignment))
-        canonical, sign = canonical_fermion_term(slots)
-        terms[canonical] = AmplitudeForm.constant(sign * coeff)
-    return OccupationState(statistics, n, dict(sorted(terms.items())))
+    for m in range(n + 1):
+        for k in range(n - m + 1):
+            j = n - m - k
+            coeff = w_in ** (m + k) * w_seed ** j
+            if coeff == 0.0:
+                continue
+            count = math.comb(n, m) * math.comb(n - m, k)
+            terms[(m, k, j, 0)] = AmplitudeForm.constant(coeff * math.sqrt(count))
+    return OccupationState(statistics, n, terms)
 
 
 def _annihilate(occ: FermionOccupation, key: SingleParticleState):
@@ -182,51 +181,65 @@ def apply_fwm_operator(
     sum over q labels of sa * create(v,q) create(u,q') + sb * create(u,q)
     create(v,q') acting after annihilate(psi,q') annihilate(phi,q), with
     anticommutation signs counted against the fixed (mode rank, q) order.
+
+    The input must be unscattered: each coefficient is read as a constant.
+    Every key sums its contributions as one complex number in path order,
+    and one form is built per key that survives, exact zeros pruned.
     """
-    merged: dict[OccupationKey, AmplitudeForm] = {}
-
-    def accumulate(key: OccupationKey, form: AmplitudeForm) -> None:
-        if key in merged:
-            merged[key] = merged[key] + form
-        else:
-            merged[key] = form
-
+    merged: dict[OccupationKey, complex] = {}
     if state.statistics is Statistics.BOSON:
         vertex = complex(sa) + complex(sb)
         for occ, form in state.terms.items():
+            value = form.constant_value()
             n_phi, n_psi, n_v, n_u = occ
             if n_phi < 1 or n_psi < 1:
                 continue
             factor = vertex * math.sqrt(n_phi * n_psi * (n_v + 1) * (n_u + 1))
-            accumulate((n_phi - 1, n_psi - 1, n_v + 1, n_u + 1), form.scaled(factor))
+            # Distinct occupations scatter to distinct keys: nothing to sum.
+            merged[(n_phi - 1, n_psi - 1, n_v + 1, n_u + 1)] = value * factor
     else:
+        # Each process's amplitude times each sign a path can carry.
+        signed_a = {sign: sign * complex(sa) for sign in (1, -1)}
+        signed_b = {sign: sign * complex(sb) for sign in (1, -1)}
+        # Per q label: its v and u states, made once.
+        outputs: dict[int, tuple[SingleParticleState, SingleParticleState]] = {}
         for occ, form in state.terms.items():
-            phi_qs = [slot.q for slot in occ if slot.mode is Mode.PHI]
-            psi_qs = [slot.q for slot in occ if slot.mode is Mode.PSI]
-            for q in phi_qs:
-                for qp in psi_qs:
-                    for amplitude, creations in (
-                        (complex(sa), (SingleParticleState(Mode.U, qp), SingleParticleState(Mode.V, q))),
-                        (complex(sb), (SingleParticleState(Mode.V, qp), SingleParticleState(Mode.U, q))),
-                    ):
-                        sign = 1
-                        current = occ
-                        step = _annihilate(current, SingleParticleState(Mode.PHI, q))
-                        sign, current = step[0] * sign, step[1]
-                        step = _annihilate(current, SingleParticleState(Mode.PSI, qp))
-                        sign, current = step[0] * sign, step[1]
-                        blocked = False
+            value = form.constant_value()
+            phis = [slot for slot in occ if slot.mode is Mode.PHI]
+            psis = [slot for slot in occ if slot.mode is Mode.PSI]
+            for slot in phis + psis:
+                if slot.q not in outputs:
+                    outputs[slot.q] = (
+                        SingleParticleState(Mode.V, slot.q),
+                        SingleParticleState(Mode.U, slot.q),
+                    )
+            for phi in phis:
+                sign_phi, without_phi = _annihilate(occ, phi)
+                v_q, u_q = outputs[phi.q]
+                for psi in psis:
+                    sign_psi, remaining = _annihilate(without_phi, psi)
+                    v_qp, u_qp = outputs[psi.q]
+                    for signed, creations in ((signed_a, (u_qp, v_q)), (signed_b, (v_qp, u_q))):
+                        sign = sign_phi * sign_psi
+                        current = remaining
                         for key in creations:
                             step = _create(current, key)
                             if step is None:
-                                blocked = True
                                 break
                             sign, current = step[0] * sign, step[1]
-                        if blocked:
-                            continue
-                        accumulate(current, form.scaled(sign * amplitude))
-    pruned = {key: form for key, form in merged.items() if not form.is_zero()}
-    ordered = dict(sorted(pruned.items()))
+                        else:
+                            # Start from the first contribution: adding it
+                            # to 0j could turn a -0.0 part into 0.0.
+                            contribution = value * signed[sign]
+                            if current in merged:
+                                merged[current] += contribution
+                            else:
+                                merged[current] = contribution
+    ordered = {
+        key: AmplitudeForm.constant(total)
+        for key, total in sorted(merged.items())
+        if total != 0
+    }
     return OccupationState(state.statistics, state.n, ordered)
 
 

@@ -35,12 +35,12 @@ __all__ = [
     "expand_antisymmetric",
     "fock_initial_state",
     "inner_product",
+    "is_canonical_fermion_term",
     "make_state",
     "parse_term",
     "permute_slots",
     "project_sector",
     "render_term",
-    "scale_state",
     "sector_of",
     "state_norm",
     "symmetrize",
@@ -151,7 +151,18 @@ def canonical_fermion_term(term: ProductTerm) -> tuple[ProductTerm, int]:
     return sorted_term, sign
 
 
+def is_canonical_fermion_term(term: ProductTerm) -> bool:
+    """True when the slots strictly increase, so the term is its own Slater key.
+
+    Equivalent to ``canonical_fermion_term(term) == (term, 1)``, with a
+    repeated (mode, q) pair counting as false, in one linear pass.
+    """
+    return all(a < b for a, b in zip(term, term[1:]))
+
+
 def _term_sort_key(term: ProductTerm) -> tuple:
+    # Canonical term order spelled out.  Valid keys sort the same by
+    # themselves: bosonic slots all carry q = None, fermionic ones an int.
     return tuple((slot.mode.value, slot.q if slot.q is not None else 0) for slot in term)
 
 
@@ -199,12 +210,7 @@ def make_state(
         else:
             merged[term] = form
     pruned = {term: form for term, form in merged.items() if not form.is_zero()}
-    ordered = dict(sorted(pruned.items(), key=lambda item: _term_sort_key(item[0])))
-    return ManyBodyState(statistics, n, ordered)
-
-
-def scale_state(state: ManyBodyState, factor: complex) -> ManyBodyState:
-    return state.scaled(factor)
+    return ManyBodyState(statistics, n, dict(sorted(pruned.items())))
 
 
 def add_states(left: ManyBodyState, right: ManyBodyState) -> ManyBodyState:
@@ -333,6 +339,13 @@ def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> Ma
     (3^n at most); with epsilon = 0 the v-carrying terms vanish exactly.
     For fermions particle i carries q = i, which makes every assignment a
     valid Slater key and renders the statistics irrelevant to scattering.
+
+    Each key is built directly.  A bosonic key is the assignment itself.  A
+    fermionic key lists the slots mode by mode, each mode's slots in q
+    order, so its sorting permutation is the stable sort of the assignment
+    by mode rank: the sign is the parity of the assignment's inversions,
+    the pairs of slots i < j where slot i holds the higher-ranked mode.
+    All terms with the same (m, k, sign) share one coefficient form.
     """
     if n < 2:
         raise ValueError("need at least two particles to scatter a pair")
@@ -340,23 +353,42 @@ def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> Ma
         raise ValueError("epsilon must lie in [0, 1)")
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
-    entries = []
-    for assignment in product((Mode.PHI, Mode.PSI, Mode.V), repeat=n):
-        m = sum(1 for mode in assignment if mode is Mode.PHI)
-        k = sum(1 for mode in assignment if mode is Mode.PSI)
-        # Power form keyed on counts so every term of one (m, k) group gets
-        # a bit-identical coefficient.
-        coeff = w_in ** (m + k) * w_seed ** (n - m - k)
-        if coeff == 0.0:
-            continue
-        if statistics is Statistics.BOSON:
-            term = tuple(SingleParticleState(mode) for mode in assignment)
-        else:
-            term = tuple(
-                SingleParticleState(mode, i + 1) for i, mode in enumerate(assignment)
-            )
-        entries.append((term, AmplitudeForm.constant(coeff)))
-    return make_state(statistics, n, entries, validate=False)
+    forms: dict[tuple[int, int, int], AmplitudeForm | None] = {}
+
+    def form_of(m: int, k: int, sign: int) -> AmplitudeForm | None:
+        """Shared coefficient of the (m, k, sign) terms; None for an exact zero."""
+        key = (m, k, sign)
+        if key not in forms:
+            # Power form keyed on counts so every term of one (m, k) group
+            # gets a bit-identical coefficient.
+            coeff = w_in ** (m + k) * w_seed ** (n - m - k)
+            forms[key] = None if coeff == 0.0 else AmplitudeForm.constant(sign * coeff)
+        return forms[key]
+
+    modes = (Mode.PHI, Mode.PSI, Mode.V)
+    terms: dict[ProductTerm, AmplitudeForm] = {}
+    if statistics is Statistics.BOSON:
+        phi, psi, v = (SingleParticleState(mode) for mode in modes)
+        for term in product((phi, psi, v), repeat=n):
+            form = form_of(term.count(phi), term.count(psi), 1)
+            if form is not None:
+                terms[term] = form
+    else:
+        # slots[i][r]: particle i (q = i + 1) in the mode of rank r.
+        slots = [tuple(SingleParticleState(mode, i + 1) for mode in modes) for i in range(n)]
+        for assignment in product(range(3), repeat=n):
+            by_mode: tuple[list, list, list] = ([], [], [])
+            inversions = 0
+            for i, rank in enumerate(assignment):
+                by_mode[rank].append(slots[i][rank])
+                # Earlier slots in higher-ranked modes sort after this one.
+                for higher in by_mode[rank + 1 :]:
+                    inversions += len(higher)
+            phis, psis, vs = by_mode
+            form = form_of(len(phis), len(psis), -1 if inversions % 2 else 1)
+            if form is not None:
+                terms[tuple(phis + psis + vs)] = form
+    return ManyBodyState(statistics, n, dict(sorted(terms.items())))
 
 
 def inner_product(

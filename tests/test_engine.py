@@ -280,3 +280,10 @@ def test_rejects_non_canonical_fermion_key():
     for terms in ({scrambled: one}, {good: one, scrambled: one}):
         with pytest.raises(ValueError, match="canonical"):
             apply_first_order(ManyBodyState(Statistics.FERMION, 3, terms))
+
+
+def test_rejects_fermion_key_with_a_repeated_slot():
+    one = AmplitudeForm.constant(1.0)
+    repeated = f((PHI, 1), (PHI, 1), (PSI, 1))
+    with pytest.raises(ValueError, match="canonical"):
+        apply_first_order(ManyBodyState(Statistics.FERMION, 3, {repeated: one}))

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from mixbench.engine import apply_first_order
 from mixbench.oracle import (
+    OccupationState,
     _annihilate,
     _create,
     apply_fwm_operator,
@@ -20,6 +22,7 @@ from mixbench.states import (
     SingleParticleState,
     Statistics,
     StatisticsMismatchError,
+    canonical_fermion_term,
     coherent_initial_state,
     fock_initial_state,
     make_state,
@@ -177,3 +180,121 @@ def test_oracle_linearity_in_amplitudes(n1, n2, n3, sa, sb):
     only_a = oracle_scattered_norm(apply_fwm_operator(state, sa, 0j))
     base_a = oracle_scattered_norm(apply_fwm_operator(state, 1 + 0j, 0j))
     assert only_a == pytest.approx(abs(sa) * base_a, abs=1e-9)
+
+
+# -- references for the direct kernels --------------------------------------
+
+
+def coherent_fermion_occupation_reference(n, epsilon):
+    """The fermion occupation expansion as first written: canonicalize each assignment."""
+    w_in = math.sqrt((1.0 - epsilon) / 2.0)
+    w_seed = math.sqrt(epsilon)
+    terms = {}
+    for assignment in product((PHI, PSI, V), repeat=n):
+        m = sum(1 for mode in assignment if mode is PHI)
+        k = sum(1 for mode in assignment if mode is PSI)
+        coeff = w_in ** (m + k) * w_seed ** (n - m - k)
+        if coeff == 0.0:
+            continue
+        slots = tuple(SingleParticleState(mode, i + 1) for i, mode in enumerate(assignment))
+        canonical, sign = canonical_fermion_term(slots)
+        terms[canonical] = AmplitudeForm.constant(sign * coeff)
+    return dict(sorted(terms.items()))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, 1 / 3, 0.5])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coherent_fermion_occupation_matches_canonicalized_reference(n, epsilon):
+    state = coherent_occupation_state(n, epsilon, Statistics.FERMION)
+    reference = coherent_fermion_occupation_reference(n, epsilon)
+    assert list(state.terms) == list(reference)
+    assert [repr(form) for form in state.terms.values()] == [
+        repr(form) for form in reference.values()
+    ]
+
+
+def apply_fwm_reference(state, sa, sb):
+    """The ladder-operator loop as first written: one form per path, merged form by form."""
+    merged = {}
+
+    def accumulate(key, form):
+        if key in merged:
+            merged[key] = merged[key] + form
+        else:
+            merged[key] = form
+
+    if state.statistics is Statistics.BOSON:
+        vertex = complex(sa) + complex(sb)
+        for occ, form in state.terms.items():
+            n_phi, n_psi, n_v, n_u = occ
+            if n_phi < 1 or n_psi < 1:
+                continue
+            factor = vertex * math.sqrt(n_phi * n_psi * (n_v + 1) * (n_u + 1))
+            accumulate((n_phi - 1, n_psi - 1, n_v + 1, n_u + 1), form.scaled(factor))
+    else:
+        for occ, form in state.terms.items():
+            phi_qs = [slot.q for slot in occ if slot.mode is PHI]
+            psi_qs = [slot.q for slot in occ if slot.mode is PSI]
+            for q in phi_qs:
+                for qp in psi_qs:
+                    for amplitude, creations in (
+                        (complex(sa), (SingleParticleState(U, qp), SingleParticleState(V, q))),
+                        (complex(sb), (SingleParticleState(V, qp), SingleParticleState(U, q))),
+                    ):
+                        sign, current = _annihilate(occ, SingleParticleState(PHI, q))
+                        step = _annihilate(current, SingleParticleState(PSI, qp))
+                        sign, current = step[0] * sign, step[1]
+                        for key in creations:
+                            step = _create(current, key)
+                            if step is None:
+                                break
+                            sign, current = step[0] * sign, step[1]
+                        else:
+                            accumulate(current, form.scaled(sign * amplitude))
+    return {key: form for key, form in sorted(merged.items()) if not form.is_zero()}
+
+
+OCCUPATION_INPUTS = [
+    pytest.param(lambda s: coherent_occupation_state(2, 0.0, s), id="coherent-2-0"),
+    pytest.param(lambda s: coherent_occupation_state(4, 0.2, s), id="coherent-4-0.2"),
+    pytest.param(lambda s: coherent_occupation_state(5, 1 / 3, s), id="coherent-5-1/3"),
+    pytest.param(lambda s: coherent_occupation_state(6, 0.5, s), id="coherent-6-0.5"),
+    pytest.param(lambda s: fock_occupation_state(1, 1, 1, s), id="fock-1-1-1"),
+    pytest.param(lambda s: fock_occupation_state(3, 2, 1, s), id="fock-3-2-1"),
+    pytest.param(lambda s: fock_occupation_state(4, 4, 2, s), id="fock-4-4-2"),
+    pytest.param(lambda s: from_first_quantized(fock_initial_state(2, 3, 1, s)), id="fock-firstq-2-3-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (1 + 0j, 1 + 0j),
+        (0.3 + 0.1j, -0.7 + 0.2j),
+        (complex(-0.0, 0.5), complex(0.2, -0.0)),
+    ],
+)
+@pytest.mark.parametrize("build", OCCUPATION_INPUTS)
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+def test_apply_fwm_operator_matches_form_based_reference(statistics, build, pair):
+    # The reference scales whole forms, so its zero ca and cb may be -0;
+    # each value lives in c0, whose bits must agree.
+    state = build(statistics)
+    scattered = apply_fwm_operator(state, *pair)
+    reference = apply_fwm_reference(state, *pair)
+    assert list(scattered.terms) == list(reference)
+    assert [repr(form.c0) for form in scattered.terms.values()] == [
+        repr(form.c0) for form in reference.values()
+    ]
+    assert all(form.ca == 0 and form.cb == 0 for form in scattered.terms.values())
+
+
+@pytest.mark.parametrize(
+    "statistics,key",
+    [(Statistics.BOSON, (1, 1, 0, 0)), (Statistics.FERMION, f((PHI, 1), (PSI, 2)))],
+)
+@pytest.mark.parametrize("form", [AmplitudeForm(c0=1, ca=0.5), AmplitudeForm(cb=-1j)])
+def test_apply_fwm_operator_rejects_scattered_input(statistics, key, form):
+    state = OccupationState(statistics, 2, {key: form})
+    with pytest.raises(ValueError, match="scattering amplitudes"):
+        apply_fwm_operator(state, 1 + 0j, 1 + 0j)

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given
@@ -22,6 +22,7 @@ from mixbench.states import (
     expand_antisymmetric,
     fock_initial_state,
     inner_product,
+    is_canonical_fermion_term,
     make_state,
     parse_term,
     permute_slots,
@@ -331,3 +332,64 @@ def test_full_antisymmetry_under_any_permutation(perm):
             sign = -sign
     (key,) = state.terms
     assert permuted.terms[key].c0 == sign * state.terms[key].c0
+
+
+def coherent_reference(n, epsilon, statistics):
+    """The expansion as first written: every raw assignment through make_state."""
+    w_in = math.sqrt((1.0 - epsilon) / 2.0)
+    w_seed = math.sqrt(epsilon)
+    entries = []
+    for assignment in product((PHI, PSI, V), repeat=n):
+        m = sum(1 for mode in assignment if mode is PHI)
+        k = sum(1 for mode in assignment if mode is PSI)
+        coeff = w_in ** (m + k) * w_seed ** (n - m - k)
+        if coeff == 0.0:
+            continue
+        if statistics is Statistics.BOSON:
+            term = b(*assignment)
+        else:
+            term = f(*((mode, i + 1) for i, mode in enumerate(assignment)))
+        entries.append((term, AmplitudeForm.constant(coeff)))
+    return make_state(statistics, n, entries, validate=False)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, 1 / 3, 0.5])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coherent_initial_state_matches_raw_assignment_reference(n, epsilon, statistics):
+    # The reference negates a whole form, which turns its zero ca and cb
+    # into -0; only c0 carries a value, and its bits must agree.
+    state = coherent_initial_state(n, epsilon, statistics)
+    reference = coherent_reference(n, epsilon, statistics)
+    assert list(state.terms) == sorted(reference.terms, key=_term_sort_key)
+    assert [repr(form.c0) for form in state.terms.values()] == [
+        repr(reference.terms[term].c0) for term in state.terms
+    ]
+    assert all(form.ca == 0 and form.cb == 0 for form in state.terms.values())
+
+
+fermion_slots_with_repeats = st.lists(
+    st.tuples(st.sampled_from([PHI, PSI, V, U]), st.integers(min_value=1, max_value=3)),
+    max_size=6,
+)
+
+
+@given(fermion_slots_with_repeats)
+def test_is_canonical_fermion_term_matches_full_canonicalization(pairs):
+    term = f(*pairs)
+    try:
+        expected = canonical_fermion_term(term) == (term, 1)
+    except PauliViolationError:
+        expected = False
+    assert is_canonical_fermion_term(term) is expected
+
+
+boson_terms = st.lists(st.sampled_from([PHI, PSI, V, U]), min_size=1, max_size=5).map(
+    lambda modes: b(*modes)
+)
+fermion_terms = fermion_slots.map(lambda pairs: f(*pairs))
+
+
+@given(st.one_of(st.lists(boson_terms), st.lists(fermion_terms)))
+def test_terms_sort_by_themselves_in_canonical_term_order(terms):
+    assert sorted(terms) == sorted(terms, key=_term_sort_key)
