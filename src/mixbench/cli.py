@@ -588,10 +588,7 @@ def _do_paths(args: argparse.Namespace) -> int:
             f"first-quantized fermion engine capped at n = {cap}"
             " (set MIXBENCH_NMAX_CAP to raise)"
         )
-    if cfg.experiment == EXPERIMENT_FOCK:
-        state = fock_initial_state(point["n1"], point["n2"], point["n3"], cfg.statistics)
-    else:
-        state = coherent_initial_state(point["n"], point["epsilon"], cfg.statistics)
+    state = _initial_first_quantized(cfg.experiment, cfg.statistics, point)
     try:
         destination = parse_term(args.destination)
     except ValueError as exc:
@@ -893,11 +890,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="compute amplitudes at parameter points")
+    run_parser = sub.add_parser(
+        "run", aliases=["sweep"], help="compute amplitudes at parameter points or grids"
+    )
     _add_point_arguments(run_parser)
-
-    sweep_parser = sub.add_parser("sweep", help="compute amplitudes over parameter grids")
-    _add_point_arguments(sweep_parser)
 
     paths_parser = sub.add_parser("paths", help="list scattering paths into one final term")
     _add_point_arguments(paths_parser)

@@ -7,19 +7,24 @@ every stored term, records one path per (term, phi slot, psi slot,
 process), and sums the paths' signed values per destination term in the
 same single loop, so its work grows with the number of paths.
 
-A fermionic source key is sorted, so its phi slots come first and the two
+Inside the loop a slot is the int ``mode * width + q`` (q = 0 for bosons),
+with ``width`` one more than the largest q of the state, so terms are
+tuples of ints that hash, compare and sort in canonical slot order.  A
+fermionic source key is sorted, so its phi slots come first and the two
 new states only move to the right.  Each destination key is made once: the
 new states are inserted into the kept slots by bisection, and the sign is
 the parity of the slots they cross, flipped once more if the pair swaps
-order.  One validated form is built per final term; a path's own form is
-built only when its ``contribution`` is read.
+order.  Each destination is decoded back to slots once, and one validated
+form is built per final term.  A path is kept as a plain tuple of ints and
+its value; its ``PathRecord`` is built when ``ScatterResult.paths`` is first
+read, and its own form only when its ``contribution`` is read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .amplitudes import AmplitudeForm, format_complex, format_form
@@ -52,6 +57,8 @@ __all__ = [
 
 PROCESS_A = "A"
 PROCESS_B = "B"
+# Process by component: where it puts its value, 0 for ca, 1 for cb.
+_PROCESSES = (PROCESS_A, PROCESS_B)
 
 
 class PathRecord(NamedTuple):
@@ -62,6 +69,8 @@ class PathRecord(NamedTuple):
     destination term is brought back to canonical slot order.  ``value`` is
     sign * (source coefficient); ``contribution`` places it in the ca or cb
     component of a form, depending on the process, and is built on access.
+    Records are built from the engine's compact per-path tuples on the first
+    read of ``ScatterResult.paths``.
     """
 
     source_term: ProductTerm
@@ -79,10 +88,39 @@ class PathRecord(NamedTuple):
         return AmplitudeForm.process_b(self.value)
 
 
-@dataclass(frozen=True)
 class ScatterResult:
-    final_state: ManyBodyState
-    paths: tuple[PathRecord, ...]
+    """The scattered state and the provenance of every path into it.
+
+    Each path is held as a compact tuple ``(source index, component, phi
+    slot, psi slot, sign, value, destination number)``.  ``paths`` turns
+    them into ``PathRecord``s in path order on its first read and caches
+    the tuple; callers that need only ``final_state`` never pay for it.
+    """
+
+    def __init__(
+        self,
+        final_state: ManyBodyState,
+        sources: tuple[ProductTerm, ...],
+        records: list[tuple],
+        destinations: list[ProductTerm],
+    ) -> None:
+        self.final_state = final_state
+        self._sources = sources
+        self._records = records
+        self._destinations = destinations
+
+    @cached_property
+    def paths(self) -> tuple[PathRecord, ...]:
+        sources, records, destinations = self._sources, self._records, self._destinations
+        built: list = [None] * len(records)
+        # Pop each compact record as its PathRecord is made, so the two
+        # lists never both hold every path.
+        for at in range(len(records) - 1, -1, -1):
+            index, component, i, j, sign, value, number = records.pop()
+            built[at] = PathRecord(
+                sources[index], _PROCESSES[component], i, j, sign, value, destinations[number]
+            )
+        return tuple(built)
 
 
 def apply_first_order(state: ManyBodyState) -> ScatterResult:
@@ -96,69 +134,84 @@ def apply_first_order(state: ManyBodyState) -> ScatterResult:
     the destinations in canonical term order, exact zeros pruned.
     """
     fermionic = state.statistics is Statistics.FERMION
-    paths: list[PathRecord] = []
-    # Destination -> [ca, cb], each summed in path order from its first path.
-    sums: dict[ProductTerm, list[complex]] = {}
-    for term, form in state.terms.items():
+    width = 1 + max((slot.q or 0 for term in state.terms for slot in term), default=0)
+    to_v, to_u = 2 * width, 3 * width  # codes of v(0) and u(0)
+    slots: dict[int, SingleParticleState] = {}  # code -> slot, for decoding
+    records: list[tuple] = []
+    numbers: dict[tuple[int, ...], int] = {}  # destination code -> its number
+    sums: list[list[complex]] = []  # per number: [ca, cb], summed in path order
+    for index, (term, form) in enumerate(state.terms.items()):
         if form.ca != 0 or form.cb != 0:
             raise ValueError("state was already scattered; the event applies only once")
+        key = tuple([mode * width + (q or 0) for mode, q in term])
+        slots.update(zip(key, term))
         if fermionic:
-            if not is_canonical_fermion_term(term):
+            if not is_canonical_fermion_term(key):
                 raise ValueError("fermionic state keys must be canonical")
-            occupied = set(term)
-        # Per slot: its index and its state after process A and after process B.
-        phis = [
-            (i, SingleParticleState(Mode.V, s.q), SingleParticleState(Mode.U, s.q))
-            for i, s in enumerate(term)
-            if s.mode is Mode.PHI
+            occupied = set(key)
+        # Bosonic values are 1 * c0; the product is kept for its signed zeros.
+        plus, minus = 1 * form.c0, -1 * form.c0
+        # (phi slot, psi slot, component, new phi state, new psi state): process A
+        # takes phi (code q) to v(q) = phi + to_v and psi (code width + q) to
+        # u(q) = psi + to_v; process B takes them to u = phi + to_u and v = psi + width.
+        moves = [
+            move
+            for i, phi in enumerate(key)
+            if phi < width
+            for j, psi in enumerate(key)
+            if width <= psi < to_v
+            for move in ((i, j, 0, phi + to_v, psi + to_v), (i, j, 1, phi + to_u, psi + width))
         ]
-        psis = [
-            (j, SingleParticleState(Mode.U, s.q), SingleParticleState(Mode.V, s.q))
-            for j, s in enumerate(term)
-            if s.mode is Mode.PSI
-        ]
-        for i, phi_a, phi_b in phis:
-            for j, psi_a, psi_b in psis:
-                # component: where the process puts its value, 0 for ca, 1 for cb
-                for process, component, new_i, new_j in (
-                    (PROCESS_A, 0, phi_a, psi_a),
-                    (PROCESS_B, 1, phi_b, psi_b),
-                ):
-                    if fermionic:
-                        # The two fresh states occupy different modes, so
-                        # they never collide with each other.
-                        if new_i in occupied or new_j in occupied:
-                            continue
-                        dest_term, sign = _fermion_destination(term, i, j, new_i, new_j)
-                    else:
-                        destination = list(term)
-                        destination[i] = new_i
-                        destination[j] = new_j
-                        dest_term = tuple(destination)
-                        sign = 1
-                    value = sign * form.c0
-                    paths.append(PathRecord(term, process, i, j, sign, value, dest_term))
-                    total = sums.get(dest_term)
-                    if total is None:
-                        total = sums[dest_term] = [0j, 0j]
-                        total[component] = value
-                    else:
-                        total[component] += value
-    final = {
-        term: AmplitudeForm(ca=ca, cb=cb)
-        for term, (ca, cb) in sorted(sums.items())
-        if ca != 0 or cb != 0
-    }
-    return ScatterResult(ManyBodyState(state.statistics, state.n, final), tuple(paths))
+        for i, j, component, new_i, new_j in moves:
+            if fermionic:
+                # The two fresh states occupy different modes, so they
+                # never collide with each other.
+                if new_i in occupied or new_j in occupied:
+                    continue
+                dest, sign = _fermion_destination(key, i, j, new_i, new_j)
+                value = plus if sign > 0 else minus
+            else:
+                destination = list(key)
+                destination[i] = new_i
+                destination[j] = new_j
+                dest = tuple(destination)
+                sign, value = 1, plus
+            number = numbers.get(dest)
+            if number is None:
+                number = numbers[dest] = len(sums)
+                total = [0j, 0j]
+                total[component] = value
+                sums.append(total)
+            else:
+                sums[number][component] += value
+            records.append((index, component, i, j, sign, value, number))
+    # The fresh v and u states keep the q of the slot they came from.
+    for code, slot in list(slots.items()):
+        if code < to_v:
+            q = code % width
+            slots.setdefault(to_v + q, SingleParticleState(Mode.V, slot.q))
+            slots.setdefault(to_u + q, SingleParticleState(Mode.U, slot.q))
+    destinations = [tuple([slots[c] for c in code]) for code in numbers]
+    final = {}
+    for code, number in sorted(numbers.items()):
+        ca, cb = sums[number]
+        if ca != 0 or cb != 0:
+            final[destinations[number]] = AmplitudeForm(ca=ca, cb=cb)
+    return ScatterResult(
+        ManyBodyState(state.statistics, state.n, final),
+        tuple(state.terms),
+        records,
+        destinations,
+    )
 
 
 def _fermion_destination(
-    term: ProductTerm,
+    term: tuple[int, ...],
     i: int,
     j: int,
-    new_i: SingleParticleState,
-    new_j: SingleParticleState,
-) -> tuple[ProductTerm, int]:
+    new_i: int,
+    new_j: int,
+) -> tuple[tuple[int, ...], int]:
     """Sorted key and parity of a sorted term whose slots i < j take new states.
 
     Every slot before i or j sorts below the v and u states, so each new

@@ -254,6 +254,58 @@ def test_incremental_fermion_sign_matches_full_sort(term, c0):
     assert_matches_naive(state)
 
 
+# Sparse q labels far above n: slot codes need a width set by the largest q.
+sparse_slots = st.builds(
+    SingleParticleState, st.sampled_from(list(Mode)), st.sampled_from([1, 7, 23, 40])
+)
+
+
+@st.composite
+def sparse_fermion_states(draw):
+    n = draw(st.integers(2, 6))
+    keys = draw(
+        st.lists(
+            st.sets(sparse_slots, min_size=n, max_size=n).map(lambda s: tuple(sorted(s))),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    values = draw(
+        st.lists(
+            st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+            min_size=len(keys),
+            max_size=len(keys),
+        )
+    )
+    terms = {key: AmplitudeForm.constant(c) for key, c in zip(keys, values)}
+    return ManyBodyState(Statistics.FERMION, n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_fermion_states())
+def test_multi_term_sparse_q_fermion_states_match_naive(state):
+    assert_matches_naive(state)
+
+
+def test_paths_are_built_once_and_leave_the_final_state_alone():
+    state = coherent_initial_state(4, 0.2, Statistics.FERMION)
+    result = apply_first_order(state)
+    before = list(result.final_state.terms.items())
+    paths = result.paths
+    assert result.paths is paths
+    assert list(result.final_state.terms.items()) == before
+    assert before == list(apply_first_order(state).final_state.terms.items())
+
+
+@pytest.mark.parametrize("n1,n2,n3", [(1, 1, 1), (3, 2, 1), (4, 4, 2), (2, 5, 3)])
+def test_path_count_is_the_unblocked_count(n1, n2, n3):
+    # Process A on (phi q, psi q') needs v(q) free, so q > n3; process B
+    # needs v(q') free, so q' > n3.  The fresh u states are always free.
+    result = apply_first_order(fock_initial_state(n1, n2, n3, Statistics.FERMION))
+    assert len(result.paths) == max(n1 - n3, 0) * n2 + n1 * max(n2 - n3, 0)
+
+
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 @pytest.mark.parametrize(
     "build",

@@ -27,6 +27,21 @@ CASES = [
          "--epsilon", "0,0.2,0.5", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
     ),
     (
+        "type1_run_boson.csv",
+        ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "1:3", "--n2", "1:3",
+         "--n3", "0:2", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
+    ),
+    (
+        "type1_paths_boson.txt",
+        ["paths", "--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",
+         "--n3", "1", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "phi psi v v u"],
+    ),
+    (
+        "type1_paths_fermion.txt",
+        ["paths", "--experiment", "type1", "--statistics", "fermion", "--n1", "3", "--n2", "2",
+         "--n3", "1", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "phi phi psi v v u"],
+    ),
+    (
         "type2_paths_fermion.json",
         ["paths", "--experiment", "type2", "--statistics", "fermion", "--n", "5",
          "--epsilon", "0.2", "phi psi v v u", "--format", "json"],
