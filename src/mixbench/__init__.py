@@ -9,111 +9,23 @@ Three independent routes to the same total scattering amplitude:
 - published closed forms with their counting identities (``formulas``).
 
 The ``cli`` module cross-checks the three and reports any disagreement.
+The package re-exports each library module's public names, its ``__all__``.
 """
 
-from .amplitudes import (
-    AmplitudeForm,
-    ZERO_FORM,
-    approx_eq,
-    format_complex,
-    format_form,
-    parse_complex,
-)
-from .engine import (
-    PathRecord,
-    ScatterResult,
-    apply_first_order,
-    path_report,
-    scattered_norm,
-    sector_amplitude,
-)
-from .formulas import (
-    CROSS_CASES,
-    CoherentCounts,
-    FockCounts,
-    coherent_amplitude,
-    coherent_counts,
-    fock_boson_amplitude,
-    fock_counts,
-    fock_fermion_amplitude,
-    fock_fermion_case,
-)
-from .oracle import (
-    OccupationState,
-    apply_fwm_operator,
-    coherent_occupation_state,
-    fock_occupation_state,
-    from_first_quantized,
-    oracle_scattered_norm,
-)
-from .states import (
-    ManyBodyState,
-    Mode,
-    PauliViolationError,
-    SectorSpec,
-    SingleParticleState,
-    Statistics,
-    StatisticsMismatchError,
-    antisymmetrize,
-    coherent_initial_state,
-    expand_antisymmetric,
-    fock_initial_state,
-    inner_product,
-    parse_term,
-    project_sector,
-    render_term,
-    sector_of,
-    state_norm,
-    symmetrize,
-)
+from . import amplitudes, engine, formulas, oracle, states
+from .amplitudes import *  # noqa: F403
+from .engine import *  # noqa: F403
+from .formulas import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .states import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeForm",
-    "ZERO_FORM",
-    "approx_eq",
-    "format_complex",
-    "format_form",
-    "parse_complex",
-    "PathRecord",
-    "ScatterResult",
-    "apply_first_order",
-    "path_report",
-    "scattered_norm",
-    "sector_amplitude",
-    "CROSS_CASES",
-    "CoherentCounts",
-    "FockCounts",
-    "coherent_amplitude",
-    "coherent_counts",
-    "fock_boson_amplitude",
-    "fock_counts",
-    "fock_fermion_amplitude",
-    "fock_fermion_case",
-    "OccupationState",
-    "apply_fwm_operator",
-    "coherent_occupation_state",
-    "fock_occupation_state",
-    "from_first_quantized",
-    "oracle_scattered_norm",
-    "ManyBodyState",
-    "Mode",
-    "PauliViolationError",
-    "SectorSpec",
-    "SingleParticleState",
-    "Statistics",
-    "StatisticsMismatchError",
-    "antisymmetrize",
-    "coherent_initial_state",
-    "expand_antisymmetric",
-    "fock_initial_state",
-    "inner_product",
-    "parse_term",
-    "project_sector",
-    "render_term",
-    "sector_of",
-    "state_norm",
-    "symmetrize",
+    *amplitudes.__all__,
+    *engine.__all__,
+    *formulas.__all__,
+    *oracle.__all__,
+    *states.__all__,
     "__version__",
 ]

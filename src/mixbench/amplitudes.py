@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "AmplitudeForm",
-    "ZERO_FORM",
     "approx_eq",
     "ensure_finite",
     "format_complex",
@@ -81,9 +80,6 @@ class AmplitudeForm:
         if self.ca != 0 or self.cb != 0:
             raise ValueError("form still depends on the scattering amplitudes")
         return self.c0
-
-
-ZERO_FORM = AmplitudeForm()
 
 
 def approx_eq(a: complex, b: complex, tol: float) -> bool:

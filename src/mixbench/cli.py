@@ -14,11 +14,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from collections.abc import Callable
 
+# bench/tracing.py times the layers by replacing the functions imported below,
+# and json, by name on this module: call them through these globals, and
+# build no import-time table of them.
 from .amplitudes import approx_eq, format_complex, format_form, parse_complex
-from .engine import apply_first_order, path_to_dict, render_path_table
+from .engine import PathRecord, apply_first_order, path_report, path_to_dict
 from .formulas import (
     CROSS_CASES,
     coherent_amplitude,
@@ -36,13 +40,13 @@ from .oracle import (
 )
 from .states import (
     Statistics,
-    canonical_fermion_term,
     coherent_initial_state,
     fock_initial_state,
     parse_term,
     render_term,
-    sector_of,
     state_norm,
+    validate_coherent_point,
+    validate_fock_point,
 )
 
 __all__ = ["main"]
@@ -82,10 +86,6 @@ class UsageError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
 
 
-class SizeLimitError(UsageError):
-    """Requested computation exceeds the configured size cap."""
-
-
 def nmax_cap() -> int:
     raw = os.environ.get("MIXBENCH_NMAX_CAP")
     if raw is None:
@@ -103,11 +103,7 @@ def nmax_cap() -> int:
 class RunConfig:
     experiment: str
     statistics: Statistics
-    n1: tuple[int, ...] | None
-    n2: tuple[int, ...] | None
-    n3: tuple[int, ...] | None
-    n: tuple[int, ...] | None
-    epsilon: tuple[float, ...] | None
+    points: list[dict]  # the grid, in lexicographic order of its flags
     sa: complex
     sb: complex
     engines: tuple[str, ...] | None
@@ -197,16 +193,33 @@ _CONFIG_KEYS = {
 }
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
+def config_reader(args: argparse.Namespace) -> Callable[[str], str | None]:
+    """Look up a setting: its flag if given, else the --config file's value, else None."""
+    file_values = read_config_file(args.config) if args.config else {}
 
     def pick(key: str) -> str | None:
         flag = getattr(args, key, None)
         if flag is not None:
-            return str(flag)
+            return flag
         return file_values.get(key)
+
+    return pick
+
+
+def parse_tolerance(text: str | None) -> float:
+    if text is None:
+        return DEFAULT_TOLERANCE
+    try:
+        tolerance = float(text)
+    except ValueError:
+        raise UsageError(f"--tolerance expects a real number, got {text!r}") from None
+    if tolerance <= 0:
+        raise UsageError("--tolerance must be positive")
+    return tolerance
+
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    pick = config_reader(args)
 
     experiment = pick("experiment")
     if experiment not in (EXPERIMENT_FOCK, EXPERIMENT_COHERENT):
@@ -216,7 +229,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--statistics must be boson or fermion")
     statistics = Statistics(statistics_text)
 
-    n1 = n2 = n3 = n = epsilon = None
     if experiment == EXPERIMENT_FOCK:
         for key in ("n", "epsilon"):
             if pick(key) is not None:
@@ -227,10 +239,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         n1 = parse_int_grid(raw_n1, "n1")
         n2 = parse_int_grid(raw_n2, "n2")
         n3 = parse_int_grid(raw_n3, "n3")
-        if min(n1) < 1 or min(n2) < 1:
-            raise UsageError("n1 and n2 must be at least 1")
-        if min(n3) < 0:
-            raise UsageError("n3 cannot be negative")
+        try:
+            validate_fock_point(min(n1), min(n2), min(n3))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        points = [{"n1": a, "n2": b, "n3": c} for a in n1 for b in n2 for c in n3]
     else:
         for key in ("n1", "n2", "n3"):
             if pick(key) is not None:
@@ -240,10 +253,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError("type2 needs --n and --epsilon")
         n = parse_int_grid(raw_n, "n")
         epsilon = parse_float_grid(raw_eps, "epsilon")
-        if min(n) < 2:
-            raise UsageError("n must be at least 2")
-        if any(not 0.0 <= e < 1.0 for e in epsilon):
-            raise UsageError("epsilon must lie in [0, 1)")
+        try:
+            for e in epsilon:
+                validate_coherent_point(min(n), e)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        points = [{"n": a, "epsilon": e} for a in n for e in epsilon]
 
     try:
         sa = parse_complex(pick("sa") or "1")
@@ -263,42 +278,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("table", "csv", "json"):
         raise UsageError("--format must be table, csv or json")
 
-    tolerance_text = pick("tolerance")
-    tolerance = DEFAULT_TOLERANCE
-    if tolerance_text is not None:
-        try:
-            tolerance = float(tolerance_text)
-        except ValueError:
-            raise UsageError(f"--tolerance expects a real number, got {tolerance_text!r}") from None
-    if tolerance <= 0:
-        raise UsageError("--tolerance must be positive")
-
     return RunConfig(
         experiment=experiment,
         statistics=statistics,
-        n1=n1,
-        n2=n2,
-        n3=n3,
-        n=n,
-        epsilon=epsilon,
+        points=points,
         sa=sa,
         sb=sb,
         engines=engines,
         fmt=fmt,
         out=pick("out"),
-        tolerance=tolerance,
+        tolerance=parse_tolerance(pick("tolerance")),
     )
-
-
-def config_points(cfg: RunConfig) -> list[dict]:
-    if cfg.experiment == EXPERIMENT_FOCK:
-        return [
-            {"n1": a, "n2": b, "n3": c}
-            for a in cfg.n1
-            for b in cfg.n2
-            for c in cfg.n3
-        ]
-    return [{"n": a, "epsilon": e} for a in cfg.n for e in cfg.epsilon]
 
 
 def point_total(experiment: str, point: dict) -> int:
@@ -318,7 +308,7 @@ def engines_for(
     fermionic = statistics is Statistics.FERMION
     if requested is not None:
         if "firstq" in requested and fermionic and total > cap:
-            raise SizeLimitError(
+            raise UsageError(
                 f"first-quantized fermion engine capped at n = {cap}"
                 " (set MIXBENCH_NMAX_CAP to raise)"
             )
@@ -360,37 +350,21 @@ def point_evaluators(
         scattered = apply_first_order(
             _initial_first_quantized(experiment, statistics, point)
         ).final_state
-
-        def firstq(sa: complex, sb: complex, state=scattered) -> float:
-            return state_norm(state, sa, sb)
-
-        evaluators["firstq"] = firstq
+        evaluators["firstq"] = partial(state_norm, scattered)
     if "oracle" in engines:
         initial = _initial_occupation(experiment, statistics, point)
 
-        def oracle(sa: complex, sb: complex, state=initial) -> float:
-            return oracle_scattered_norm(apply_fwm_operator(state, sa, sb))
+        def oracle(sa: complex, sb: complex) -> float:
+            return oracle_scattered_norm(apply_fwm_operator(initial, sa, sb))
 
         evaluators["oracle"] = oracle
     if "closed" in engines:
-        if experiment == EXPERIMENT_FOCK:
-            n1, n2, n3 = point["n1"], point["n2"], point["n3"]
-            if statistics is Statistics.BOSON:
-
-                def closed(sa: complex, sb: complex) -> float:
-                    return fock_boson_amplitude(n1, n2, n3, sa, sb)
-
-            else:
-
-                def closed(sa: complex, sb: complex) -> float:
-                    return fock_fermion_amplitude(n1, n2, n3, sa, sb)
-
+        if experiment == EXPERIMENT_COHERENT:
+            closed = partial(coherent_amplitude, point["n"], point["epsilon"])
+        elif statistics is Statistics.BOSON:
+            closed = partial(fock_boson_amplitude, point["n1"], point["n2"], point["n3"])
         else:
-            n, epsilon = point["n"], point["epsilon"]
-
-            def closed(sa: complex, sb: complex) -> float:
-                return coherent_amplitude(n, epsilon, sa, sb)
-
+            closed = partial(fock_fermion_amplitude, point["n1"], point["n2"], point["n3"])
         evaluators["closed"] = closed
     return evaluators
 
@@ -412,13 +386,10 @@ def evaluate_point(
     point: dict,
     sa: complex,
     sb: complex,
-    engines: tuple[str, ...],
+    evaluators: dict[str, Evaluator],
     tolerance: float,
-    evaluators: dict[str, Evaluator] | None = None,
 ) -> VerificationRecord:
-    if evaluators is None:
-        evaluators = point_evaluators(experiment, statistics, point, engines)
-    values = {engine: evaluators[engine](sa, sb) for engine in engines}
+    values = {engine: evaluate(sa, sb) for engine, evaluate in evaluators.items()}
     names = sorted(values)
     max_dev = 0.0
     exact_ok = True
@@ -459,39 +430,55 @@ def evaluate_point(
     )
 
 
-def run_records(cfg: RunConfig) -> list[VerificationRecord]:
+def grid_records(
+    grids: list[tuple[str, Statistics, list[dict]]],
+    requested: tuple[str, ...] | None,
+    pairs: tuple[tuple[complex, complex], ...],
+    tolerance: float,
+) -> list[VerificationRecord]:
+    """Walk (experiment, statistics, points) grids: one record per point and (sa, sb) pair.
+
+    Each point's evaluators are built once and shared by its pairs.
+    """
     cap = nmax_cap()
     records = []
-    for point in config_points(cfg):
-        engines = engines_for(cfg.experiment, cfg.statistics, point, cfg.engines, cap)
-        records.append(
-            evaluate_point(
-                cfg.experiment, cfg.statistics, point, cfg.sa, cfg.sb, engines, cfg.tolerance
-            )
-        )
+    for experiment, statistics, points in grids:
+        for point in points:
+            engines = engines_for(experiment, statistics, point, requested, cap)
+            evaluators = point_evaluators(experiment, statistics, point, engines)
+            for sa, sb in pairs:
+                records.append(
+                    evaluate_point(experiment, statistics, point, sa, sb, evaluators, tolerance)
+                )
     return records
 
 
+def run_records(cfg: RunConfig) -> list[VerificationRecord]:
+    grid = (cfg.experiment, cfg.statistics, cfg.points)
+    return grid_records([grid], cfg.engines, ((cfg.sa, cfg.sb),), cfg.tolerance)
+
+
+def _record_point(record: VerificationRecord) -> dict:
+    """The fields that open every serialized record: what was computed, and where."""
+    return {
+        "experiment": record.experiment,
+        "statistics": record.statistics,
+        "n1": record.n1,
+        "n2": record.n2,
+        "n3": record.n3,
+        "n": record.n,
+        "epsilon": record.epsilon,
+        "sA": format_complex(record.sa),
+        "sB": format_complex(record.sb),
+    }
+
+
 def record_rows(records: list[VerificationRecord]) -> list[dict]:
-    rows = []
-    for record in records:
-        for engine in sorted(record.values):
-            rows.append(
-                {
-                    "experiment": record.experiment,
-                    "statistics": record.statistics,
-                    "n1": record.n1,
-                    "n2": record.n2,
-                    "n3": record.n3,
-                    "n": record.n,
-                    "epsilon": record.epsilon,
-                    "sA": format_complex(record.sa),
-                    "sB": format_complex(record.sb),
-                    "engine": engine,
-                    "amplitude": record.values[engine],
-                }
-            )
-    return rows
+    return [
+        {**_record_point(record), "engine": engine, "amplitude": record.values[engine]}
+        for record in records
+        for engine in sorted(record.values)
+    ]
 
 
 def _csv_cell(value) -> str:
@@ -511,14 +498,25 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
-
-
 def _point_text(record: VerificationRecord) -> str:
     if record.experiment == EXPERIMENT_FOCK:
         return f"n1={record.n1} n2={record.n2} n3={record.n3}"
     return f"n={record.n} eps={record.epsilon:g}"
+
+
+def text_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned fixed-width columns under a dashed rule, no trailing newline."""
+    widths = [
+        max(len(headers[c]), max((len(r[c]) for r in rows), default=0))
+        for c in range(len(headers))
+    ]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
 
 
 def records_to_table(records: list[VerificationRecord]) -> str:
@@ -539,17 +537,23 @@ def records_to_table(records: list[VerificationRecord]) -> str:
             row.append("-" if value is None else f"{value:.12g}")
         row += [f"{record.max_deviation:.3e}", record.status, record.note]
         rows.append(row)
-    widths = [
-        max(len(headers[c]), max((len(r[c]) for r in rows), default=0))
-        for c in range(len(headers))
+    return text_table(headers, rows) + "\n"
+
+
+def render_path_table(paths: list[PathRecord]) -> str:
+    headers = ["source", "process", "slots", "sign", "contribution", "destination"]
+    rows = [
+        [
+            render_term(p.source_term),
+            p.process,
+            f"{p.phi_slot},{p.psi_slot}",
+            f"{p.sign:+d}",
+            format_form(p.contribution),
+            render_term(p.destination_term),
+        ]
+        for p in paths
     ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return text_table(headers, rows)
 
 
 def render_records(records: list[VerificationRecord], fmt: str) -> str:
@@ -558,7 +562,7 @@ def render_records(records: list[VerificationRecord], fmt: str) -> str:
     rows = record_rows(records)
     if fmt == "csv":
         return rows_to_csv(rows)
-    return rows_to_json(rows)
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -578,74 +582,44 @@ def _do_run(args: argparse.Namespace) -> int:
 
 def _do_paths(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    points = config_points(cfg)
-    if len(points) != 1:
+    if len(cfg.points) != 1:
         raise UsageError("paths needs a single parameter point, not a grid")
-    point = points[0]
-    cap = nmax_cap()
-    if cfg.statistics is Statistics.FERMION and point_total(cfg.experiment, point) > cap:
-        raise SizeLimitError(
-            f"first-quantized fermion engine capped at n = {cap}"
-            " (set MIXBENCH_NMAX_CAP to raise)"
-        )
-    state = _initial_first_quantized(cfg.experiment, cfg.statistics, point)
+    point = cfg.points[0]
+    engines_for(cfg.experiment, cfg.statistics, point, ("firstq",), nmax_cap())
     try:
         destination = parse_term(args.destination)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if len(destination) != state.n:
-        raise UsageError(
-            f"destination has {len(destination)} slots, state has {state.n} particles"
-        )
-    result = apply_first_order(state)
-    by_destination: dict[tuple, list] = {}
-    for path in result.paths:
-        by_destination.setdefault(path.destination_term, []).append(path)
-    if cfg.statistics is Statistics.FERMION and all(s.q is None for s in destination):
-        # Aggregate report over every labelled destination in the sector.
-        wanted = sector_of(destination)
-        matches = sorted(
-            (dest for dest in by_destination if sector_of(dest) == wanted),
-            key=render_term,
-        )
-        if not matches:
-            # Every candidate path was Pauli blocked; show the empty total.
-            matches = [destination]
-    else:
-        if cfg.statistics is Statistics.FERMION:
-            destination, _ = canonical_fermion_term(destination)
-        matches = [destination]
-
+    n = point_total(cfg.experiment, point)
+    if len(destination) != n:
+        raise UsageError(f"destination has {len(destination)} slots, state has {n} particles")
+    result = apply_first_order(_initial_first_quantized(cfg.experiment, cfg.statistics, point))
     payload = []
-    for dest in matches:
-        paths = sorted(
-            by_destination.get(dest, ()),
-            key=lambda p: (render_term(p.source_term), p.process, p.phi_slot, p.psi_slot),
-        )
-        payload.append((dest, paths, result.final_state.terms.get(dest)))
+    for dest, paths in path_report(result, destination).items():
+        total = result.final_state.terms.get(dest)
+        if total is None:
+            payload.append((dest, paths, "0", 0j))
+        else:
+            payload.append((dest, paths, format_form(total), total.evaluate(cfg.sa, cfg.sb)))
 
     if cfg.fmt == "json":
-        doc = []
-        for dest, paths, total_form in payload:
-            value = total_form.evaluate(cfg.sa, cfg.sb) if total_form else 0j
-            doc.append(
-                {
-                    "destination": render_term(dest),
-                    "paths": [path_to_dict(p) for p in paths],
-                    "total": format_form(total_form) if total_form else "0",
-                    "value": format_complex(value),
-                }
-            )
+        doc = [
+            {
+                "destination": render_term(dest),
+                "paths": [path_to_dict(p) for p in paths],
+                "total": rendered,
+                "value": format_complex(value),
+            }
+            for dest, paths, rendered, value in payload
+        ]
         _write_output(json.dumps(doc, indent=2) + "\n", cfg.out)
         return 0
     lines = []
     total_paths = 0
-    for dest, paths, total_form in payload:
+    for dest, paths, rendered, value in payload:
         lines.append(f"destination: {render_term(dest)}")
         if paths:
             lines.append(render_path_table(paths))
-        value = total_form.evaluate(cfg.sa, cfg.sb) if total_form else 0j
-        rendered = format_form(total_form) if total_form else "0"
         lines.append(f"paths: {len(paths)}")
         lines.append(
             f"total: {rendered} = {format_complex(value)}"
@@ -688,40 +662,19 @@ def _identity_record(name: str, max_dev: float, tolerance: float, note: str) -> 
 
 
 def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
-    cap = nmax_cap()
-    records: list[VerificationRecord] = []
+    def fock_points(n_top: int) -> list[dict]:
+        return [{"n1": n1, "n2": n2, "n3": n3} for n1, n2, n3 in _fock_grid(n_top)]
 
-    for statistics, n_top in ((Statistics.BOSON, nmax), (Statistics.FERMION, min(nmax, 7))):
-        for n1, n2, n3 in _fock_grid(n_top):
-            point = {"n1": n1, "n2": n2, "n3": n3}
-            engines = engines_for(EXPERIMENT_FOCK, statistics, point, None, cap)
-            evaluators = point_evaluators(EXPERIMENT_FOCK, statistics, point, engines)
-            for sa, sb in VERIFY_PAIRS:
-                records.append(
-                    evaluate_point(
-                        EXPERIMENT_FOCK, statistics, point, sa, sb, engines, tolerance, evaluators
-                    )
-                )
+    def coherent_points(n_top: int) -> list[dict]:
+        return [{"n": n, "epsilon": e} for n in range(2, n_top + 1) for e in VERIFY_EPSILONS]
 
-    for statistics, n_top in ((Statistics.BOSON, nmax), (Statistics.FERMION, min(nmax, 6))):
-        for n in range(2, n_top + 1):
-            for epsilon in VERIFY_EPSILONS:
-                point = {"n": n, "epsilon": epsilon}
-                engines = engines_for(EXPERIMENT_COHERENT, statistics, point, None, cap)
-                evaluators = point_evaluators(EXPERIMENT_COHERENT, statistics, point, engines)
-                for sa, sb in VERIFY_PAIRS:
-                    records.append(
-                        evaluate_point(
-                            EXPERIMENT_COHERENT,
-                            statistics,
-                            point,
-                            sa,
-                            sb,
-                            engines,
-                            tolerance,
-                            evaluators,
-                        )
-                    )
+    grids = [
+        (EXPERIMENT_FOCK, Statistics.BOSON, fock_points(nmax)),
+        (EXPERIMENT_FOCK, Statistics.FERMION, fock_points(min(nmax, 7))),
+        (EXPERIMENT_COHERENT, Statistics.BOSON, coherent_points(nmax)),
+        (EXPERIMENT_COHERENT, Statistics.FERMION, coherent_points(min(nmax, 6))),
+    ]
+    records = grid_records(grids, None, VERIFY_PAIRS, tolerance)
 
     # Closed-form counting identity: per-term gain times sqrt(distinct final
     # terms) reproduces the stimulated amplitude for every split of n <= 30.
@@ -787,15 +740,7 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
 
 def record_to_json_dict(record: VerificationRecord) -> dict:
     return {
-        "experiment": record.experiment,
-        "statistics": record.statistics,
-        "n1": record.n1,
-        "n2": record.n2,
-        "n3": record.n3,
-        "n": record.n,
-        "epsilon": record.epsilon,
-        "sA": format_complex(record.sa),
-        "sB": format_complex(record.sb),
+        **_record_point(record),
         "values": {name: record.values[name] for name in sorted(record.values)},
         "max_deviation": record.max_deviation,
         "status": record.status,
@@ -804,34 +749,20 @@ def record_to_json_dict(record: VerificationRecord) -> dict:
 
 
 def _do_verify(args: argparse.Namespace) -> int:
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
-    tolerance = args.tolerance
-    if tolerance is None and "tolerance" in file_values:
-        try:
-            tolerance = float(file_values["tolerance"])
-        except ValueError:
-            raise UsageError("tolerance in config must be a real number") from None
-    if tolerance is None:
-        tolerance = DEFAULT_TOLERANCE
-    if tolerance <= 0:
-        raise UsageError("--tolerance must be positive")
-    nmax = args.nmax
-    if nmax is None and "nmax" in file_values:
-        try:
-            nmax = int(file_values["nmax"])
-        except ValueError:
-            raise UsageError("nmax in config must be an integer") from None
-    if nmax is None:
-        nmax = 6
+    pick = config_reader(args)
+    tolerance = parse_tolerance(pick("tolerance"))
+    nmax_text = pick("nmax")
+    try:
+        nmax = 6 if nmax_text is None else int(nmax_text)
+    except ValueError:
+        raise UsageError(f"--nmax expects an integer, got {nmax_text!r}") from None
     if nmax < 3:
         raise UsageError("--nmax must be at least 3")
     if nmax > VERIFY_NMAX_LIMIT:
         raise UsageError(
             f"--nmax must be at most {VERIFY_NMAX_LIMIT}, the largest grid verify enumerates"
         )
-    out = args.out or file_values.get("out") or "mixbench_verify.json"
+    out = pick("out") or "mixbench_verify.json"
 
     records = verify_records(tolerance, nmax)
     counts = {STATUS_PASS: 0, STATUS_KNOWN: 0, STATUS_FAIL: 0}
@@ -903,10 +834,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
 
     verify_parser = sub.add_parser("verify", help="run the cross-engine verification grid")
-    verify_parser.add_argument("--tolerance", type=float, default=None)
-    verify_parser.add_argument("--nmax", type=int, default=None)
-    verify_parser.add_argument("--out", default=None)
-    verify_parser.add_argument("--config", default=None)
+    verify_parser.add_argument("--tolerance")
+    verify_parser.add_argument("--nmax")
+    verify_parser.add_argument("--out")
+    verify_parser.add_argument("--config")
 
     return parser
 

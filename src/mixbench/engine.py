@@ -18,28 +18,30 @@ order.  Each destination is decoded back to slots once, and one validated
 form is built per final term.  A path is kept as a plain tuple of ints and
 its value; its ``PathRecord`` is built when ``ScatterResult.paths`` is first
 read, and its own form only when its ``contribution`` is read.
+
+The scattered norm is ``state_norm(result.final_state, sa, sb)``.
+``path_report`` owns which paths a ``paths`` request shows and in what
+order: it canonicalizes the destination, widens an unlabelled fermion
+destination to its sector, and sorts the paths.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from functools import cached_property
 from typing import NamedTuple
 
-from .amplitudes import AmplitudeForm, format_complex, format_form
+from .amplitudes import AmplitudeForm, format_complex
 from .states import (
     ManyBodyState,
     Mode,
     ProductTerm,
-    SectorSpec,
     SingleParticleState,
     Statistics,
     canonical_fermion_term,
-    inner_product,
     is_canonical_fermion_term,
-    project_sector,
     render_term,
+    sector_of,
 )
 
 __all__ = [
@@ -50,9 +52,6 @@ __all__ = [
     "apply_first_order",
     "path_report",
     "path_to_dict",
-    "render_path_table",
-    "scattered_norm",
-    "sector_amplitude",
 ]
 
 PROCESS_A = "A"
@@ -230,76 +229,49 @@ def _fermion_destination(
     return dest, -1 if crossings % 2 else 1
 
 
-def scattered_norm(state: ManyBodyState, sa: complex, sb: complex) -> float:
-    """Norm of the scattered component at concrete process amplitudes."""
-    final = apply_first_order(state).final_state
-    value = inner_product(final, final, sa, sb)
-    return math.sqrt(max(value.real, 0.0))
+def path_report(
+    result: ScatterResult, destination: ProductTerm
+) -> dict[ProductTerm, list[PathRecord]]:
+    """The paths of one scatter result into a destination, by destination term.
 
-
-def sector_amplitude(
-    state: ManyBodyState, sector: SectorSpec, sa: complex, sb: complex
-) -> float:
-    """Norm of the scattered component restricted to one output sector."""
-    final = apply_first_order(state).final_state
-    projected = project_sector(final, sector)
-    value = inner_product(projected, projected, sa, sb)
-    return math.sqrt(max(value.real, 0.0))
-
-
-def path_report(state: ManyBodyState, destination: ProductTerm) -> list[PathRecord]:
-    """All scattering paths of the state that land on one destination term.
-
-    The destination is canonicalized for fermionic states, so any slot
-    ordering of the same Slater key selects the same report.  Records are
-    ordered by (source term rendering, process, slots).
+    A fermionic destination is canonicalized, so any slot ordering of the
+    same Slater key selects the same report.  A fermionic destination with
+    no q labels selects every labelled destination of its sector, in
+    rendered order, or maps to itself with no paths when no path lands in
+    that sector, as when all are Pauli blocked.  Paths are ordered by
+    (source term rendering, process, slots).
     """
-    if state.statistics is Statistics.FERMION:
-        destination, _ = canonical_fermion_term(destination)
-    result = apply_first_order(state)
-    matches = [p for p in result.paths if p.destination_term == destination]
-    matches.sort(key=lambda p: (render_term(p.source_term), p.process, p.phi_slot, p.psi_slot))
-    return matches
+    by_destination: dict[ProductTerm, list[PathRecord]] = {}
+    for path in result.paths:
+        by_destination.setdefault(path.destination_term, []).append(path)
+    if result.final_state.statistics is not Statistics.FERMION:
+        matches = [destination]
+    elif all(slot.q is None for slot in destination):
+        wanted = sector_of(destination)
+        matches = sorted(
+            (dest for dest in by_destination if sector_of(dest) == wanted), key=render_term
+        ) or [destination]
+    else:
+        matches = [canonical_fermion_term(destination)[0]]
+    return {
+        dest: sorted(
+            by_destination.get(dest, ()),
+            key=lambda p: (render_term(p.source_term), p.process, p.phi_slot, p.psi_slot),
+        )
+        for dest in matches
+    }
 
 
 def path_to_dict(path: PathRecord) -> dict:
+    # The contribution is the value in the process's component, 0 elsewhere.
+    value = format_complex(path.value)
+    ca, cb = (value, "0") if path.process == PROCESS_A else ("0", value)
     return {
         "source": render_term(path.source_term),
         "process": path.process,
         "phi_slot": path.phi_slot,
         "psi_slot": path.psi_slot,
         "sign": path.sign,
-        "contribution": {
-            "c0": format_complex(path.contribution.c0),
-            "ca": format_complex(path.contribution.ca),
-            "cb": format_complex(path.contribution.cb),
-        },
+        "contribution": {"c0": "0", "ca": ca, "cb": cb},
         "destination": render_term(path.destination_term),
     }
-
-
-def render_path_table(paths: list[PathRecord]) -> str:
-    """Fixed-width text table of path records."""
-    headers = ("source", "process", "slots", "sign", "contribution", "destination")
-    rows = [
-        (
-            render_term(p.source_term),
-            p.process,
-            f"{p.phi_slot},{p.psi_slot}",
-            f"{p.sign:+d}",
-            format_form(p.contribution),
-            render_term(p.destination_term),
-        )
-        for p in paths
-    ]
-    widths = [
-        max(len(headers[c]), max((len(r[c]) for r in rows), default=0))
-        for c in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)

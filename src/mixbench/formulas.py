@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .states import validate_coherent_point, validate_fock_point
+
 __all__ = [
     "CASE_A_ONLY",
     "CASE_B_ONLY",
@@ -31,19 +33,12 @@ __all__ = [
 ]
 
 
-def _check_fock_args(n1: int, n2: int, n3: int) -> None:
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both input modes need at least one particle")
-    if n3 < 0:
-        raise ValueError("seed occupation cannot be negative")
-
-
 def fock_boson_amplitude(n1: int, n2: int, n3: int, sa: complex, sb: complex) -> float:
     """Bosonic scattered norm sqrt(n1*n2*(n3+1)) * |sa+sb|.
 
     The n3+1 factor is the final-state stimulation by the seed occupation.
     """
-    _check_fock_args(n1, n2, n3)
+    validate_fock_point(n1, n2, n3)
     return math.sqrt(n1 * n2 * (n3 + 1)) * abs(complex(sa) + complex(sb))
 
 
@@ -65,7 +60,7 @@ def fock_fermion_case(n1: int, n2: int, n3: int) -> str:
     region is labelled cross-tie and evaluated with the common n1 <-> n2
     symmetric limit of the two cross branches.
     """
-    _check_fock_args(n1, n2, n3)
+    validate_fock_point(n1, n2, n3)
     if n3 >= n1 and n3 >= n2:
         return CASE_SUPPRESSED
     if n1 > n3 >= n2:
@@ -113,10 +108,7 @@ def coherent_amplitude(n: int, epsilon: float, sa: complex, sb: complex) -> floa
     Equals sqrt(w*n * w*(n-1) * (epsilon*(n-2)+1)) * |sa+sb| with
     w = (1-epsilon)/2, independent of particle statistics.
     """
-    if n < 2:
-        raise ValueError("need at least two particles to scatter a pair")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
+    validate_coherent_point(n, epsilon)
     w = (1.0 - epsilon) / 2.0
     return math.sqrt(w * n * w * (n - 1) * (epsilon * (n - 2) + 1.0)) * abs(
         complex(sa) + complex(sb)
@@ -141,7 +133,7 @@ class FockCounts:
 
 
 def fock_counts(n1: int, n2: int, n3: int) -> FockCounts:
-    _check_fock_args(n1, n2, n3)
+    validate_fock_point(n1, n2, n3)
     n = n1 + n2 + n3
     total = math.comb(n, n1) * math.comb(n - n1, n2)
     process = total * n1 * n2
@@ -175,10 +167,7 @@ class CoherentCounts:
 
 
 def coherent_counts(n: int, m: int, k: int, epsilon: float) -> CoherentCounts:
-    if n < 2:
-        raise ValueError("need at least two particles to scatter a pair")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
+    validate_coherent_point(n, epsilon)
     if m < 0 or k < 0 or m + k > n:
         raise ValueError("mode counts must satisfy 0 <= m, 0 <= k, m+k <= n")
     group_terms = math.comb(n, m) * math.comb(n - m, k)

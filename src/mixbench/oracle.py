@@ -7,10 +7,11 @@ applied with explicit ladder-operator algebra, sqrt factors for bosons and
 anticommutation sign strings for fermions, which shares no code with the
 first-quantized path enumeration.
 
-The fermionic coherent occupation state is the first-quantized expansion
-read through ``from_first_quantized``: its Slater keys already are
-occupation keys, so both routes start from the same initial state.  Only
-the scattering is independent, and that is what the cross-check tests.
+Both fermionic occupation inputs, Fock and coherent, are the
+first-quantized states read through ``from_first_quantized``: their Slater
+keys already are occupation keys, so both routes start from the same
+initial state.  Only the scattering is independent, and that is what the
+cross-check tests.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ from .states import (
     Statistics,
     StatisticsMismatchError,
     coherent_initial_state,
+    fock_initial_state,
     is_canonical_fermion_term,
     sector_of,
+    validate_coherent_point,
+    validate_fock_point,
 )
 
 __all__ = [
@@ -39,7 +43,6 @@ __all__ = [
     "fock_occupation_state",
     "from_first_quantized",
     "oracle_scattered_norm",
-    "render_occupation",
 ]
 
 BosonOccupation = tuple[int, int, int, int]
@@ -54,15 +57,6 @@ class OccupationState:
     statistics: Statistics
     n: int
     terms: dict[OccupationKey, AmplitudeForm]
-
-
-def render_occupation(key: OccupationKey, statistics: Statistics) -> str:
-    if statistics is Statistics.BOSON:
-        labels = ("phi", "psi", "v", "u")
-        inner = ", ".join(f"{label}:{count}" for label, count in zip(labels, key))
-        return "{" + inner + "}"
-    inner = ", ".join(f"{slot.mode.label}({slot.q})" for slot in key)
-    return "{" + inner + "}"
 
 
 def from_first_quantized(state: ManyBodyState) -> OccupationState:
@@ -89,17 +83,15 @@ def from_first_quantized(state: ManyBodyState) -> OccupationState:
     n_fact = math.factorial(state.n)
     for occ, forms in sorted(groups.items()):
         representative = forms[0]
-        for form in forms[1:]:
-            delta = form - representative
-            scale = max(1.0, abs(representative.c0), abs(representative.ca), abs(representative.cb))
-            if max(abs(delta.c0), abs(delta.ca), abs(delta.cb)) > 1e-12 * scale:
-                raise StatisticsMismatchError(
-                    "state is not permutation symmetric; occupation map undefined"
-                )
+        scale = max(1.0, abs(representative.c0), abs(representative.ca), abs(representative.cb))
         multiplicity = n_fact
         for count in occ:
             multiplicity //= math.factorial(count)
-        if len(forms) != multiplicity:
+        # Symmetric: every ordering of the occupation is stored, all with one form.
+        if len(forms) != multiplicity or any(
+            max(abs(d.c0), abs(d.ca), abs(d.cb)) > 1e-12 * scale
+            for d in (form - representative for form in forms[1:])
+        ):
             raise StatisticsMismatchError(
                 "state is not permutation symmetric; occupation map undefined"
             )
@@ -110,21 +102,16 @@ def from_first_quantized(state: ManyBodyState) -> OccupationState:
 def fock_occupation_state(
     n1: int, n2: int, n3: int, statistics: Statistics
 ) -> OccupationState:
-    """Occupation-basis input with n1 phi, n2 psi, n3 seed v particles."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both input modes need at least one particle")
-    if n3 < 0:
-        raise ValueError("seed occupation cannot be negative")
-    n = n1 + n2 + n3
+    """Occupation-basis input with n1 phi, n2 psi, n3 seed v particles.
+
+    Bosons are one occupation vector.  Fermions read the Slater key of
+    ``fock_initial_state`` through ``from_first_quantized``.
+    """
+    if statistics is Statistics.FERMION:
+        return from_first_quantized(fock_initial_state(n1, n2, n3, statistics))
+    validate_fock_point(n1, n2, n3)
     one = AmplitudeForm.constant(1.0)
-    if statistics is Statistics.BOSON:
-        return OccupationState(statistics, n, {(n1, n2, n3, 0): one})
-    slots = tuple(
-        [SingleParticleState(Mode.PHI, q) for q in range(1, n1 + 1)]
-        + [SingleParticleState(Mode.PSI, q) for q in range(1, n2 + 1)]
-        + [SingleParticleState(Mode.V, q) for q in range(1, n3 + 1)]
-    )
-    return OccupationState(statistics, n, {slots: one})
+    return OccupationState(statistics, n1 + n2 + n3, {(n1, n2, n3, 0): one})
 
 
 def coherent_occupation_state(
@@ -137,10 +124,7 @@ def coherent_occupation_state(
     """
     if statistics is Statistics.FERMION:
         return from_first_quantized(coherent_initial_state(n, epsilon, statistics))
-    if n < 2:
-        raise ValueError("need at least two particles to scatter a pair")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
+    validate_coherent_point(n, epsilon)
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
     terms: dict[OccupationKey, AmplitudeForm] = {}

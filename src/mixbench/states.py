@@ -6,6 +6,11 @@ ordered term per key.  Fermionic states are stored in the orthonormal
 Slater basis: every key is the slot list sorted by (mode rank, q) and the
 parity of the sorting permutation is folded into the coefficient, which
 keeps term identity collision-free without expanding n! permutations.
+
+Distinct stored terms are orthonormal for both statistics, so
+``state_norm`` is the plain l2 norm of the evaluated coefficients.  The
+input checks of the two experiments, ``validate_fock_point`` and
+``validate_coherent_point``, live here and every route calls them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .amplitudes import AmplitudeForm
@@ -28,22 +33,20 @@ __all__ = [
     "SingleParticleState",
     "Statistics",
     "StatisticsMismatchError",
-    "add_states",
     "antisymmetrize",
     "canonical_fermion_term",
     "coherent_initial_state",
-    "expand_antisymmetric",
     "fock_initial_state",
-    "inner_product",
     "is_canonical_fermion_term",
     "make_state",
     "parse_term",
     "permute_slots",
-    "project_sector",
     "render_term",
     "sector_of",
     "state_norm",
     "symmetrize",
+    "validate_coherent_point",
+    "validate_fock_point",
 ]
 
 
@@ -84,10 +87,6 @@ class SectorSpec(NamedTuple):
     n_psi: int
     n_v: int
     n_u: int
-
-    @property
-    def total(self) -> int:
-        return self.n_phi + self.n_psi + self.n_v + self.n_u
 
 
 class StatisticsMismatchError(ValueError):
@@ -160,12 +159,6 @@ def is_canonical_fermion_term(term: ProductTerm) -> bool:
     return all(a < b for a, b in zip(term, term[1:]))
 
 
-def _term_sort_key(term: ProductTerm) -> tuple:
-    # Canonical term order spelled out.  Valid keys sort the same by
-    # themselves: bosonic slots all carry q = None, fermionic ones an int.
-    return tuple((slot.mode.value, slot.q if slot.q is not None else 0) for slot in term)
-
-
 @dataclass(frozen=True)
 class ManyBodyState:
     """Sparse map from product terms to amplitude forms.
@@ -178,29 +171,18 @@ class ManyBodyState:
     n: int
     terms: dict[ProductTerm, AmplitudeForm]
 
-    def scaled(self, factor: complex) -> "ManyBodyState":
-        return make_state(
-            self.statistics,
-            self.n,
-            ((term, form.scaled(factor)) for term, form in self.terms.items()),
-            validate=False,
-        )
-
 
 def make_state(
     statistics: Statistics,
     n: int,
     entries: Iterable[tuple[ProductTerm, AmplitudeForm]],
-    *,
-    validate: bool = True,
 ) -> ManyBodyState:
-    """Merge (term, form) entries into a state, canonicalizing fermion keys."""
+    """Validate and merge (term, form) entries into a state, canonicalizing fermion keys."""
     merged: dict[ProductTerm, AmplitudeForm] = {}
     for term, form in entries:
         if len(term) != n:
             raise ValueError(f"term has {len(term)} slots, expected {n}")
-        if validate:
-            validate_term(term, statistics)
+        validate_term(term, statistics)
         if statistics is Statistics.FERMION:
             term, sign = canonical_fermion_term(term)
             if sign < 0:
@@ -211,19 +193,6 @@ def make_state(
             merged[term] = form
     pruned = {term: form for term, form in merged.items() if not form.is_zero()}
     return ManyBodyState(statistics, n, dict(sorted(pruned.items())))
-
-
-def add_states(left: ManyBodyState, right: ManyBodyState) -> ManyBodyState:
-    _check_compatible(left, right)
-    entries = list(left.terms.items()) + list(right.terms.items())
-    return make_state(left.statistics, left.n, entries, validate=False)
-
-
-def _check_compatible(left: ManyBodyState, right: ManyBodyState) -> None:
-    if left.statistics is not right.statistics:
-        raise StatisticsMismatchError("states carry different statistics")
-    if left.n != right.n:
-        raise ValueError(f"states have different particle numbers {left.n} and {right.n}")
 
 
 def symmetrize(term: ProductTerm) -> ManyBodyState:
@@ -268,41 +237,25 @@ def antisymmetrize(term: ProductTerm) -> ManyBodyState:
 
     Mathematically this is (1/sqrt(n!)) sum over permutations with signs;
     in storage it collapses to the single sorted key with the sorting
-    parity folded in (see expand_antisymmetric for the full expansion).
+    parity folded in.
     """
-    validate_term(term, Statistics.FERMION)
-    return make_state(
-        Statistics.FERMION,
-        len(term),
-        [(term, AmplitudeForm.constant(1.0))],
-        validate=False,
-    )
+    return make_state(Statistics.FERMION, len(term), [(term, AmplitudeForm.constant(1.0))])
 
 
-def expand_antisymmetric(term: ProductTerm) -> Iterator[tuple[ProductTerm, float]]:
-    """Yield all n! signed product terms of the antisymmetrized state.
+def validate_fock_point(n1: int, n2: int, n3: int) -> None:
+    """Type I input: n1 phi and n2 psi particles, at least one each, and n3 >= 0 seeds."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("n1 and n2 must be at least 1")
+    if n3 < 0:
+        raise ValueError("n3 cannot be negative")
 
-    Intended for cross-checks and debugging at small n; the states module
-    itself never materializes this expansion.
-    """
-    validate_term(term, Statistics.FERMION)
-    n = len(term)
-    weight = 1.0 / math.sqrt(math.factorial(n))
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        yield tuple(term[i] for i in perm), sign * weight
+
+def validate_coherent_point(n: int, epsilon: float) -> None:
+    """Type II input: a pair to scatter, n >= 2, and a seed weight 0 <= epsilon < 1."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError("epsilon must lie in [0, 1)")
 
 
 def fock_initial_state(n1: int, n2: int, n3: int, statistics: Statistics) -> ManyBodyState:
@@ -312,10 +265,7 @@ def fock_initial_state(n1: int, n2: int, n3: int, statistics: Statistics) -> Man
     psi particles q=1..n2 and v particles q=1..n3.  Scattering conserves q,
     so a phi particle with q <= n3 is Pauli blocked from entering v.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both input modes need at least one particle")
-    if n3 < 0:
-        raise ValueError("seed occupation cannot be negative")
+    validate_fock_point(n1, n2, n3)
     if statistics is Statistics.BOSON:
         base = (
             (SingleParticleState(Mode.PHI),) * n1
@@ -347,10 +297,7 @@ def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> Ma
     the pairs of slots i < j where slot i holds the higher-ranked mode.
     All terms with the same (m, k, sign) share one coefficient form.
     """
-    if n < 2:
-        raise ValueError("need at least two particles to scatter a pair")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
+    validate_coherent_point(n, epsilon)
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
     forms: dict[tuple[int, int, int], AmplitudeForm | None] = {}
@@ -391,41 +338,11 @@ def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> Ma
     return ManyBodyState(statistics, n, dict(sorted(terms.items())))
 
 
-def inner_product(
-    bra: ManyBodyState, ket: ManyBodyState, sa: complex, sb: complex
-) -> complex:
-    """Hermitian inner product after evaluating both coefficient forms.
-
-    Distinct stored terms are orthonormal for both statistics (ordered
-    product terms for bosons, Slater keys for fermions).
-    """
-    _check_compatible(bra, ket)
-    if len(bra.terms) <= len(ket.terms):
-        shared = (term for term in bra.terms if term in ket.terms)
-    else:
-        shared = (term for term in ket.terms if term in bra.terms)
-    total = 0j
-    for term in shared:
-        total += (
-            bra.terms[term].evaluate(sa, sb).conjugate()
-            * ket.terms[term].evaluate(sa, sb)
-        )
-    return total
-
-
 def state_norm(state: ManyBodyState, sa: complex = 0j, sb: complex = 0j) -> float:
     total = 0.0
     for form in state.terms.values():
         total += abs(form.evaluate(sa, sb)) ** 2
     return math.sqrt(total)
-
-
-def project_sector(state: ManyBodyState, sector: SectorSpec) -> ManyBodyState:
-    """Keep exactly the terms whose per-mode counts match the sector."""
-    if sector.total != state.n:
-        raise ValueError(f"sector totals {sector.total} particles, state has {state.n}")
-    kept = {term: form for term, form in state.terms.items() if sector_of(term) == sector}
-    return ManyBodyState(state.statistics, state.n, kept)
 
 
 def permute_slots(state: ManyBodyState, perm: Sequence[int]) -> ManyBodyState:
@@ -439,7 +356,7 @@ def permute_slots(state: ManyBodyState, perm: Sequence[int]) -> ManyBodyState:
     entries = [
         (tuple(term[p] for p in perm), form) for term, form in state.terms.items()
     ]
-    return make_state(state.statistics, state.n, entries, validate=False)
+    return make_state(state.statistics, state.n, entries)
 
 
 def render_term(term: ProductTerm) -> str:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from mixbench.amplitudes import (
     AmplitudeForm,
-    ZERO_FORM,
     approx_eq,
     ensure_finite,
     format_complex,
@@ -24,7 +23,7 @@ def test_form_addition_and_scaling():
     f = AmplitudeForm(1, 2, 3) + AmplitudeForm(0.5, -2, 1j)
     assert f == AmplitudeForm(1.5, 0, 3 + 1j)
     assert f.scaled(2) == AmplitudeForm(3, 0, 6 + 2j)
-    assert (f - f) == ZERO_FORM
+    assert (f - f) == AmplitudeForm()
 
 
 def test_form_evaluate_is_linear_in_coefficients():
@@ -40,7 +39,7 @@ def test_process_constructors():
 
 
 def test_is_zero_is_exact():
-    assert ZERO_FORM.is_zero()
+    assert AmplitudeForm().is_zero()
     assert not AmplitudeForm(ca=1e-300).is_zero()
 
 
@@ -105,7 +104,7 @@ def test_format_complex_compact_forms():
 
 
 def test_format_form():
-    assert format_form(ZERO_FORM) == "0"
+    assert format_form(AmplitudeForm()) == "0"
     assert format_form(AmplitudeForm(ca=0.5, cb=0.5)) == "0.5*sa + 0.5*sb"
     # interior signs get parenthesized so the rendering re-parses unambiguously
     assert format_form(AmplitudeForm(ca=1 + 1j)) == "(1+i)*sa"

@@ -178,6 +178,10 @@ def test_config_file_with_cli_override(capsys, tmp_path):
         ("verify", "--nmax", "2"),
         ("verify", "--tolerance", "0"),
         ("verify", "--nmax", "9"),
+        ("paths", "--experiment", "type1", "--statistics", "fermion",
+         "--n1", "5", "--n2", "4", "--n3", "0", "phi v u phi phi psi psi psi psi"),
+        ("verify", "--nmax", "x"),
+        ("verify", "--tolerance", "abc"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -214,6 +218,25 @@ def test_verify_refuses_nmax_above_its_grids(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "at most 8" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("nmax = x", "--nmax expects an integer, got 'x'"),
+        ("tolerance = abc", "--tolerance expects a real number, got 'abc'"),
+    ],
+    ids=["nmax", "tolerance"],
+)
+def test_verify_rejects_malformed_config_values(capsys, tmp_path, line, message):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(line + "\n")
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
     assert not out_path.exists()
 
 

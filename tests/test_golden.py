@@ -46,6 +46,11 @@ CASES = [
         ["paths", "--experiment", "type2", "--statistics", "fermion", "--n", "5",
          "--epsilon", "0.2", "phi psi v v u", "--format", "json"],
     ),
+    (
+        "type1_run_fermion_table.txt",
+        ["run", "--experiment", "type1", "--statistics", "fermion", "--n1", "1:3", "--n2", "1:3",
+         "--n3", "0:1", "--sa=0.3+0.1i", "--sb=-0.7+0.2i"],
+    ),
 ]
 
 
@@ -55,3 +60,16 @@ def test_output_matches_golden_bytes(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_verify_report_matches_golden_bytes(capsys, monkeypatch, tmp_path):
+    # Regenerate with: mixbench verify --nmax 3 --out tests/golden/verify_nmax3.json
+    monkeypatch.delenv("MIXBENCH_NMAX_CAP", raising=False)
+    report = tmp_path / "report.json"
+    code = main(["verify", "--nmax", "3", "--out", str(report)])
+    first_line = capsys.readouterr().out.splitlines()[0]
+    assert code == 0
+    assert first_line == (
+        "checked 88 records: 77 pass, 11 known-divergence, 0 fail (tolerance 1e-10, nmax 3)"
+    )
+    assert report.read_bytes() == (GOLDEN / "verify_nmax3.json").read_bytes()

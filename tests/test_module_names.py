@@ -1,0 +1,76 @@
+"""Static checks of each module's imports and public names.
+
+Every name a module imports must be used in it or re-exported through its
+``__all__``, and every literal ``__all__`` entry must be bound at the top of
+the module, so a deleted helper cannot leave a dead import or export behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mixbench").glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import in the module, with its line; star imports bind none."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    names = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def literal_all(tree: ast.Module) -> list[str]:
+    """Entries of a literal ``__all__`` list; a computed one is checked at run time."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            if isinstance(node.value, (ast.List, ast.Tuple)) and all(
+                isinstance(e, ast.Constant) for e in node.value.elts
+            ):
+                return [e.value for e in node.value.elts]
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_are_used_and_exports_are_defined(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = literal_all(tree)
+    unused = [
+        f"{name} (line {line})"
+        for name, line in imported_names(tree).items()
+        if name not in used and name not in exported
+    ]
+    assert not unused, f"{path.name} imports names it neither uses nor exports: {unused}"
+    undefined = [name for name in exported if name not in top_level_names(tree)]
+    assert not undefined, f"{path.name} exports names it does not define: {undefined}"
+
+
+def test_package_exports_each_library_module_once():
+    import mixbench
+
+    assert len(mixbench.__all__) == len(set(mixbench.__all__))
+    assert [name for name in mixbench.__all__ if not hasattr(mixbench, name)] == []
+    for module in (mixbench.amplitudes, mixbench.engine, mixbench.formulas, mixbench.oracle,
+                   mixbench.states):
+        assert set(module.__all__) <= set(mixbench.__all__)

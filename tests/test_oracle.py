@@ -15,7 +15,6 @@ from mixbench.oracle import (
     fock_occupation_state,
     from_first_quantized,
     oracle_scattered_norm,
-    render_occupation,
 )
 from mixbench.states import (
     Mode,
@@ -157,13 +156,6 @@ def test_oracle_matches_first_quantized_engine_coherent(n, epsilon, statistics):
     expected = state_norm(firstq, sa, sb)
     scattered = apply_fwm_operator(coherent_occupation_state(n, epsilon, statistics), sa, sb)
     assert oracle_scattered_norm(scattered) == pytest.approx(expected, abs=1e-10)
-
-
-def test_render_occupation():
-    assert render_occupation((2, 1, 1, 0), Statistics.BOSON) == "{phi:2, psi:1, v:1, u:0}"
-    assert (
-        render_occupation(f((PHI, 1), (PSI, 2)), Statistics.FERMION) == "{phi(1), psi(2)}"
-    )
 
 
 @settings(max_examples=40, deadline=None)
