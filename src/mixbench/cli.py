@@ -39,6 +39,7 @@ from .oracle import (
     oracle_scattered_norm,
 )
 from .states import (
+    ProductTerm,
     Statistics,
     coherent_initial_state,
     fock_initial_state,
@@ -341,14 +342,15 @@ def point_evaluators(
 ) -> dict[str, Evaluator]:
     """Per-engine callables (sa, sb) -> amplitude for one grid point.
 
-    The first-quantized scattering is applied once here; evaluating the
-    resulting symbolic state at concrete amplitudes is cheap, so sweeping
-    several (sa, sb) pairs per point reuses the expensive part.
+    The first-quantized scattering is applied once here, without per-path
+    records; evaluating the resulting symbolic state at concrete amplitudes
+    is cheap, so sweeping several (sa, sb) pairs per point reuses the
+    expensive part.
     """
     evaluators: dict[str, Evaluator] = {}
     if "firstq" in engines:
         scattered = apply_first_order(
-            _initial_first_quantized(experiment, statistics, point)
+            _initial_first_quantized(experiment, statistics, point), paths=False
         ).final_state
         evaluators["firstq"] = partial(state_norm, scattered)
     if "oracle" in engines:
@@ -580,6 +582,28 @@ def _do_run(args: argparse.Namespace) -> int:
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
 
 
+def _check_fermion_destination(destination: ProductTerm) -> None:
+    """Reject a fermion destination that ``path_report`` cannot canonicalize.
+
+    A destination with no q labels is a sector query and may repeat slots.
+    Any other must name each slot once and label all or none of each mode's
+    slots.
+    """
+    if all(slot.q is None for slot in destination):
+        return
+    seen = set()
+    for slot in destination:
+        if slot in seen:
+            raise UsageError(f"fermion destination repeats {render_term((slot,))}")
+        seen.add(slot)
+    labelled = {slot.mode for slot in destination if slot.q is not None}
+    mixed = sorted(labelled & {slot.mode for slot in destination if slot.q is None})
+    if mixed:
+        raise UsageError(
+            f"fermion destination mixes labelled and unlabelled {mixed[0].label} slots"
+        )
+
+
 def _do_paths(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if len(cfg.points) != 1:
@@ -593,6 +617,8 @@ def _do_paths(args: argparse.Namespace) -> int:
     n = point_total(cfg.experiment, point)
     if len(destination) != n:
         raise UsageError(f"destination has {len(destination)} slots, state has {n} particles")
+    if cfg.statistics is Statistics.FERMION:
+        _check_fermion_destination(destination)
     result = apply_first_order(_initial_first_quantized(cfg.experiment, cfg.statistics, point))
     payload = []
     for dest, paths in path_report(result, destination).items():

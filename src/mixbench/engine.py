@@ -1,9 +1,9 @@
-"""First-order pair-scattering engine with full path provenance.
+"""First-order pair-scattering engine with optional path provenance.
 
 One scattering event takes a phi particle and a psi particle to the output
 modes.  Process A sends the phi particle to v and the psi particle to u;
 process B exchanges the outputs.  The engine applies the event once to
-every stored term, records one path per (term, phi slot, psi slot,
+every stored term, enumerates one path per (term, phi slot, psi slot,
 process), and sums the paths' signed values per destination term in the
 same single loop, so its work grows with the number of paths.
 
@@ -15,9 +15,12 @@ new states only move to the right.  Each destination key is made once: the
 new states are inserted into the kept slots by bisection, and the sign is
 the parity of the slots they cross, flipped once more if the pair swaps
 order.  Each destination is decoded back to slots once, and one validated
-form is built per final term.  A path is kept as a plain tuple of ints and
-its value; its ``PathRecord`` is built when ``ScatterResult.paths`` is first
-read, and its own form only when its ``contribution`` is read.
+form is built per final term.  With ``paths=True`` (the default) a path is
+kept as a plain tuple of ints and its value; its ``PathRecord`` is built
+when ``ScatterResult.paths`` is first read, and its own form only when its
+``contribution`` is read.  With ``paths=False`` the loop keeps no record
+at all, for callers such as ``run`` and ``verify`` that need only the
+final state.
 
 The scattered norm is ``state_norm(result.final_state, sa, sb)``.
 ``path_report`` owns which paths a ``paths`` request shows and in what
@@ -90,27 +93,32 @@ class PathRecord(NamedTuple):
 class ScatterResult:
     """The scattered state and the provenance of every path into it.
 
-    Each path is held as a compact tuple ``(source index, component, phi
-    slot, psi slot, sign, value, destination number)``.  ``paths`` turns
-    them into ``PathRecord``s in path order on its first read and caches
-    the tuple; callers that need only ``final_state`` never pay for it.
+    A result built with records holds each path as a compact tuple
+    ``(source index, component, phi slot, psi slot, sign, value, destination
+    number)``; ``paths`` turns them into ``PathRecord``s in path order on its
+    first read and caches the tuple.  A result built with ``paths=False``
+    holds no records: its first read of ``paths`` re-runs the scatter on the
+    source state with records, once, and caches that tuple instead.
     """
 
     def __init__(
         self,
         final_state: ManyBodyState,
-        sources: tuple[ProductTerm, ...],
-        records: list[tuple],
+        source: ManyBodyState,
+        records: list[tuple] | None,
         destinations: list[ProductTerm],
     ) -> None:
         self.final_state = final_state
-        self._sources = sources
+        self._source = source
         self._records = records
         self._destinations = destinations
 
     @cached_property
     def paths(self) -> tuple[PathRecord, ...]:
-        sources, records, destinations = self._sources, self._records, self._destinations
+        records = self._records
+        if records is None:
+            return apply_first_order(self._source).paths
+        sources, destinations = tuple(self._source.terms), self._destinations
         built: list = [None] * len(records)
         # Pop each compact record as its PathRecord is made, so the two
         # lists never both hold every path.
@@ -122,7 +130,7 @@ class ScatterResult:
         return tuple(built)
 
 
-def apply_first_order(state: ManyBodyState) -> ScatterResult:
+def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterResult:
     """Apply one pair-scattering event to every term of the state.
 
     For every stored term and every ordered pair of a phi slot and a psi
@@ -131,12 +139,16 @@ def apply_first_order(state: ManyBodyState) -> ScatterResult:
     in the source term.  Bosonic paths are never blocked.  Each
     destination's ca and cb are summed in path order; the final state lists
     the destinations in canonical term order, exact zeros pruned.
+
+    ``paths=False`` keeps no per-path record; the final state is the same,
+    bit for bit.  Reading ``.paths`` on such a result then re-runs this
+    scatter once with records.
     """
     fermionic = state.statistics is Statistics.FERMION
     width = 1 + max((slot.q or 0 for term in state.terms for slot in term), default=0)
     to_v, to_u = 2 * width, 3 * width  # codes of v(0) and u(0)
     slots: dict[int, SingleParticleState] = {}  # code -> slot, for decoding
-    records: list[tuple] = []
+    records: list[tuple] | None = [] if paths else None
     numbers: dict[tuple[int, ...], int] = {}  # destination code -> its number
     sums: list[list[complex]] = []  # per number: [ca, cb], summed in path order
     for index, (term, form) in enumerate(state.terms.items()):
@@ -183,7 +195,8 @@ def apply_first_order(state: ManyBodyState) -> ScatterResult:
                 sums.append(total)
             else:
                 sums[number][component] += value
-            records.append((index, component, i, j, sign, value, number))
+            if paths:
+                records.append((index, component, i, j, sign, value, number))
     # The fresh v and u states keep the q of the slot they came from.
     for code, slot in list(slots.items()):
         if code < to_v:
@@ -196,12 +209,8 @@ def apply_first_order(state: ManyBodyState) -> ScatterResult:
         ca, cb = sums[number]
         if ca != 0 or cb != 0:
             final[destinations[number]] = AmplitudeForm(ca=ca, cb=cb)
-    return ScatterResult(
-        ManyBodyState(state.statistics, state.n, final),
-        tuple(state.terms),
-        records,
-        destinations,
-    )
+    final_state = ManyBodyState(state.statistics, state.n, final)
+    return ScatterResult(final_state, state, records, destinations)
 
 
 def _fermion_destination(

@@ -12,8 +12,6 @@ import math
 import random
 import time
 
-import pytest
-
 from mixbench.amplitudes import AmplitudeForm, approx_eq
 from mixbench.engine import apply_first_order, path_report
 from mixbench.formulas import (

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from mixbench import cli
 from mixbench.cli import main
 
 
@@ -180,6 +181,12 @@ def test_config_file_with_cli_override(capsys, tmp_path):
         ("verify", "--nmax", "9"),
         ("paths", "--experiment", "type1", "--statistics", "fermion",
          "--n1", "5", "--n2", "4", "--n3", "0", "phi v u phi phi psi psi psi psi"),
+        ("paths", "--experiment", "type1", "--statistics", "fermion",
+         "--n1", "1", "--n2", "1", "--n3", "0", "v(1) v(1)"),
+        ("paths", "--experiment", "type1", "--statistics", "fermion",
+         "--n1", "1", "--n2", "1", "--n3", "0", "v(1) v"),
+        ("paths", "--experiment", "type1", "--statistics", "fermion",
+         "--n1", "2", "--n2", "1", "--n3", "0", "v(1) u u"),
         ("verify", "--nmax", "x"),
         ("verify", "--tolerance", "abc"),
     ],
@@ -188,6 +195,34 @@ def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "2", "--n2", "1:2", "--n3", "1"),
+        ("verify", "--nmax", "3", "--out", "report.json"),
+        ("paths", "--experiment", "type2", "--statistics", "fermion",
+         "--n", "3", "--epsilon", "0.2", "phi v u"),
+    ],
+)
+def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv):
+    seen = []
+    scatter = cli.apply_first_order
+
+    def spy(state, **kwargs):
+        seen.append(kwargs.get("paths", True))
+        return scatter(state, **kwargs)
+
+    monkeypatch.setattr(cli, "apply_first_order", spy)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "paths":
+        assert seen == [True]  # one scatter, whose records the listing reads
+    else:
+        assert seen and not any(seen)
 
 
 def test_unknown_config_key_exits_two(capsys, tmp_path):

@@ -335,23 +335,51 @@ def test_path_count_is_the_unblocked_count(n1, n2, n3):
     assert len(result.paths) == max(n1 - n3, 0) * n2 + n1 * max(n2 - n3, 0)
 
 
+def signed_zero_state(statistics):
+    """Two terms whose coefficients carry signed zeros into ca and cb."""
+    one, two = (1, 2) if statistics is Statistics.FERMION else (None, None)
+    terms = {
+        (SingleParticleState(PHI, one), SingleParticleState(PHI, two),
+         SingleParticleState(PSI, one)): AmplitudeForm.constant(complex(-0.0, 0.5)),
+        (SingleParticleState(PHI, one), SingleParticleState(PSI, one),
+         SingleParticleState(PSI, two)): AmplitudeForm.constant(complex(0.25, -0.0)),
+    }
+    return ManyBodyState(statistics, 3, terms)
+
+
+TEST_STATES = [
+    lambda s: fock_initial_state(1, 1, 0, s),
+    lambda s: fock_initial_state(2, 1, 0, s),
+    lambda s: fock_initial_state(1, 1, 1, s),
+    lambda s: fock_initial_state(2, 1, 1, s),
+    lambda s: fock_initial_state(2, 2, 1, s),
+    lambda s: fock_initial_state(2, 3, 4, s),
+    lambda s: coherent_initial_state(3, 0.2, s),
+    lambda s: coherent_initial_state(5, 0.5, s),
+    lambda s: permute_slots(coherent_initial_state(3, 0.2, s), (2, 0, 1)),
+    signed_zero_state,
+]
+
+
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda s: fock_initial_state(1, 1, 0, s),
-        lambda s: fock_initial_state(2, 1, 0, s),
-        lambda s: fock_initial_state(1, 1, 1, s),
-        lambda s: fock_initial_state(2, 1, 1, s),
-        lambda s: fock_initial_state(2, 2, 1, s),
-        lambda s: fock_initial_state(2, 3, 4, s),
-        lambda s: coherent_initial_state(3, 0.2, s),
-        lambda s: coherent_initial_state(5, 0.5, s),
-        lambda s: permute_slots(coherent_initial_state(3, 0.2, s), (2, 0, 1)),
-    ],
-)
+@pytest.mark.parametrize("build", TEST_STATES)
 def test_scatter_matches_naive_on_test_states(statistics, build):
     assert_matches_naive(build(statistics))
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("build", TEST_STATES)
+def test_recordless_scatter_gives_the_same_state_and_paths(statistics, build):
+    state = build(statistics)
+    recorded = apply_first_order(state)
+    recordless = apply_first_order(state, paths=False)
+    # repr tells signed zeros apart, which == does not
+    assert [(term, repr(form)) for term, form in recordless.final_state.terms.items()] == [
+        (term, repr(form)) for term, form in recorded.final_state.terms.items()
+    ]
+    # the first read replays the scatter with records, and is cached
+    assert recordless.paths == recorded.paths
+    assert recordless.paths is recordless.paths
 
 
 def test_rejects_non_canonical_fermion_key():

@@ -1,8 +1,9 @@
 """Static checks of each module's imports and public names.
 
-Every name a module imports must be used in it or re-exported through its
-``__all__``, and every literal ``__all__`` entry must be bound at the top of
-the module, so a deleted helper cannot leave a dead import or export behind.
+Every name a module or test file imports must be used in it or re-exported
+through its ``__all__``, and every literal ``__all__`` entry of a module must
+be bound at the top of the module, so a deleted helper cannot leave a dead
+import or export behind.
 """
 
 import ast
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mixbench").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "mixbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,19 +54,29 @@ def literal_all(tree: ast.Module) -> list[str]:
     return []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_imports_are_used_and_exports_are_defined(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def unused_imports(tree: ast.Module) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = literal_all(tree)
-    unused = [
+    return [
         f"{name} (line {line})"
         for name, line in imported_names(tree).items()
         if name not in used and name not in exported
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_are_used_and_exports_are_defined(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = unused_imports(tree)
     assert not unused, f"{path.name} imports names it neither uses nor exports: {unused}"
-    undefined = [name for name in exported if name not in top_level_names(tree)]
+    undefined = [name for name in literal_all(tree) if name not in top_level_names(tree)]
     assert not undefined, f"{path.name} exports names it does not define: {undefined}"
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[f"tests/{p.name}" for p in TESTS])
+def test_test_imports_are_used(path):
+    unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, f"{path.name} imports names it does not use: {unused}"
 
 
 def test_package_exports_each_library_module_once():

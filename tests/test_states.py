@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mixbench.amplitudes import AmplitudeForm
 from mixbench.states import (
-    ManyBodyState,
     Mode,
     PauliViolationError,
     SectorSpec,
