@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ def ensure_finite(value: complex, what: str = "value") -> complex:
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmplitudeForm:
     """Scalar of the shape ``c0 + ca*sa + cb*sb``.
 
@@ -38,9 +39,15 @@ class AmplitudeForm:
     cb: complex = 0j
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c0", ensure_finite(self.c0, "c0"))
-        object.__setattr__(self, "ca", ensure_finite(self.ca, "ca"))
-        object.__setattr__(self, "cb", ensure_finite(self.cb, "cb"))
+        c0, ca, cb = complex(self.c0), complex(self.ca), complex(self.cb)
+        if not (cmath.isfinite(c0) and cmath.isfinite(ca) and cmath.isfinite(cb)):
+            # Raise the message of the first field that is not finite.
+            ensure_finite(c0, "c0")
+            ensure_finite(ca, "ca")
+            ensure_finite(cb, "cb")
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "ca", ca)
+        object.__setattr__(self, "cb", cb)
 
     @classmethod
     def constant(cls, value: complex) -> "AmplitudeForm":

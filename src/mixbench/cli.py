@@ -41,11 +41,11 @@ from .oracle import (
 from .states import (
     ProductTerm,
     Statistics,
+    coefficient_norm,
     coherent_initial_state,
     fock_initial_state,
     parse_term,
     render_term,
-    state_norm,
     validate_coherent_point,
     validate_fock_point,
 )
@@ -214,6 +214,8 @@ def parse_tolerance(text: str | None) -> float:
         tolerance = float(text)
     except ValueError:
         raise UsageError(f"--tolerance expects a real number, got {text!r}") from None
+    if not math.isfinite(tolerance):
+        raise UsageError(f"--tolerance must be finite, got {text!r}")
     if tolerance <= 0:
         raise UsageError("--tolerance must be positive")
     return tolerance
@@ -343,16 +345,16 @@ def point_evaluators(
     """Per-engine callables (sa, sb) -> amplitude for one grid point.
 
     The first-quantized scattering is applied once here, without per-path
-    records; evaluating the resulting symbolic state at concrete amplitudes
-    is cheap, so sweeping several (sa, sb) pairs per point reuses the
-    expensive part.
+    records, and only its (ca, cb) pairs are kept: no final state is built.
+    Evaluating them at concrete amplitudes is cheap, so sweeping several
+    (sa, sb) pairs per point reuses the expensive part.
     """
     evaluators: dict[str, Evaluator] = {}
     if "firstq" in engines:
-        scattered = apply_first_order(
+        pairs = apply_first_order(
             _initial_first_quantized(experiment, statistics, point), paths=False
-        ).final_state
-        evaluators["firstq"] = partial(state_norm, scattered)
+        ).coefficients
+        evaluators["firstq"] = partial(coefficient_norm, pairs)
     if "oracle" in engines:
         initial = _initial_occupation(experiment, statistics, point)
 
@@ -606,6 +608,8 @@ def _check_fermion_destination(destination: ProductTerm) -> None:
 
 def _do_paths(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    if cfg.fmt == "csv":
+        raise UsageError("paths --format must be table or json")
     if len(cfg.points) != 1:
         raise UsageError("paths needs a single parameter point, not a grid")
     point = cfg.points[0]

@@ -8,21 +8,28 @@ process), and sums the paths' signed values per destination term in the
 same single loop, so its work grows with the number of paths.
 
 Inside the loop a slot is the int ``mode * width + q`` (q = 0 for bosons),
-with ``width`` one more than the largest q of the state, so terms are
-tuples of ints that hash, compare and sort in canonical slot order.  A
-fermionic source key is sorted, so its phi slots come first and the two
-new states only move to the right.  Each destination key is made once: the
-new states are inserted into the kept slots by bisection, and the sign is
-the parity of the slots they cross, flipped once more if the pair swaps
-order.  Each destination is decoded back to slots once, and one validated
-form is built per final term.  With ``paths=True`` (the default) a path is
-kept as a plain tuple of ints and its value; its ``PathRecord`` is built
-when ``ScatterResult.paths`` is first read, and its own form only when its
-``contribution`` is read.  With ``paths=False`` the loop keeps no record
-at all, for callers such as ``run`` and ``verify`` that need only the
-final state.
+with ``width`` one more than the largest q of the state.  A bosonic term is
+one int, its slot codes packed in base ``4 * width`` with slot 0 as the
+most significant digit, so numeric order is canonical term order; a path
+adds a fixed lift per slot to it and builds no key tuple.  A fermionic term
+stays a tuple of codes.  Its source key is sorted, so its phi slots come
+first and the two new states only move to the right.  Each destination key
+is made once: the new states are inserted into the kept slots by
+bisection, and the sign is the parity of the slots they cross, flipped
+once more if the pair swaps order.  The loop leaves one ``[ca, cb, key]``
+sum per destination key.  ``ScatterResult.coefficients`` reads the pruned
+pairs from these sums in canonical order; ``final_state`` decodes each key
+to its slots and builds one validated form per final term only when it is
+first read.  With ``paths=True`` (the default) a path is kept as a plain
+tuple of ints, its value and its destination's sum; its ``PathRecord`` is
+built when ``ScatterResult.paths`` is first read, and its own form only
+when its ``contribution`` is read.  With ``paths=False`` the loop keeps no
+record at all, for callers such as ``run`` and ``verify`` that need only
+the coefficients.
 
-The scattered norm is ``state_norm(result.final_state, sa, sb)``.
+The scattered norm is ``state_norm(result.final_state, sa, sb)``, and
+``coefficient_norm(result.coefficients, sa, sb)`` gives the same float
+without building the final state.
 ``path_report`` owns which paths a ``paths`` request shows and in what
 order: it canonicalizes the destination, widens an unlabelled fermion
 destination to its sector, and sorts the paths.
@@ -31,10 +38,11 @@ destination to its sector, and sorts the paths.
 from __future__ import annotations
 
 from bisect import bisect_left
+from cmath import isfinite
 from functools import cached_property
 from typing import NamedTuple
 
-from .amplitudes import AmplitudeForm, format_complex
+from .amplitudes import AmplitudeForm, ensure_finite, format_complex
 from .states import (
     ManyBodyState,
     Mode,
@@ -93,41 +101,102 @@ class PathRecord(NamedTuple):
 class ScatterResult:
     """The scattered state and the provenance of every path into it.
 
+    The scatter leaves one ``[ca, cb, key]`` sum per destination, keyed by
+    its packed int (bosons) or code tuple (fermions); either way the keys
+    order as the canonical terms do.  ``coefficients`` reads the pruned
+    ``(ca, cb)`` pairs from these sums and builds no term or form.
+    ``final_state`` is built on its first read: it decodes every key to its
+    term, builds one validated form per final term and drops the sums.
+
     A result built with records holds each path as a compact tuple
-    ``(source index, component, phi slot, psi slot, sign, value, destination
-    number)``; ``paths`` turns them into ``PathRecord``s in path order on its
-    first read and caches the tuple.  A result built with ``paths=False``
-    holds no records: its first read of ``paths`` re-runs the scatter on the
-    source state with records, once, and caches that tuple instead.
+    ``(source index, component, phi slot, psi slot, sign, value, sum)``;
+    ``paths`` turns them into ``PathRecord``s in path order on its first
+    read and caches the tuple.  A result built with ``paths=False`` holds no
+    records: its first read of ``paths`` re-runs the scatter on the source
+    state with records, once, and caches that tuple instead.
     """
 
     def __init__(
         self,
-        final_state: ManyBodyState,
         source: ManyBodyState,
         records: list[tuple] | None,
-        destinations: list[ProductTerm],
+        sums: dict[int | tuple[int, ...], list],
+        width: int,
     ) -> None:
-        self.final_state = final_state
         self._source = source
         self._records = records
-        self._destinations = destinations
+        self._sums = sums
+        self._width = width
+        self._decoded = False
+
+    @property
+    def coefficients(self) -> list[tuple[complex, complex]]:
+        """The final state's ``(ca, cb)`` pairs in canonical term order, built on each read.
+
+        Exact zeros are pruned as in ``final_state``, and a sum that is not
+        finite raises the ``ValueError`` its form would.
+        """
+        if "final_state" in self.__dict__:
+            return [(form.ca, form.cb) for form in self.final_state.terms.values()]
+        pairs = []
+        for key in sorted(self._sums):
+            ca, cb, _ = self._sums[key]
+            if ca != 0 or cb != 0:
+                if not (isfinite(ca) and isfinite(cb)):
+                    ensure_finite(ca, "ca")
+                    ensure_finite(cb, "cb")
+                pairs.append((ca, cb))
+        return pairs
+
+    @cached_property
+    def final_state(self) -> ManyBodyState:
+        self._decode()
+        sums, final = self._sums, {}
+        for key in sorted(sums):
+            ca, cb, term = sums[key]
+            if ca != 0 or cb != 0:
+                final[term] = AmplitudeForm(ca=ca, cb=cb)
+        del self._sums
+        return ManyBodyState(self._source.statistics, self._source.n, final)
 
     @cached_property
     def paths(self) -> tuple[PathRecord, ...]:
         records = self._records
         if records is None:
             return apply_first_order(self._source).paths
-        sources, destinations = tuple(self._source.terms), self._destinations
+        self._decode()
+        sources = tuple(self._source.terms)
         built: list = [None] * len(records)
         # Pop each compact record as its PathRecord is made, so the two
         # lists never both hold every path.
         for at in range(len(records) - 1, -1, -1):
-            index, component, i, j, sign, value, number = records.pop()
+            index, component, i, j, sign, value, total = records.pop()
             built[at] = PathRecord(
-                sources[index], _PROCESSES[component], i, j, sign, value, destinations[number]
+                sources[index], _PROCESSES[component], i, j, sign, value, total[2]
             )
         return tuple(built)
+
+    def _decode(self) -> None:
+        """Replace the key in every sum by its term, once; records share the sums."""
+        if self._decoded:
+            return
+        width = self._width
+        table = [
+            SingleParticleState(Mode(code // width), code % width or None)
+            for code in range(4 * width)
+        ]
+        if self._source.statistics is Statistics.FERMION:
+            for total in self._sums.values():
+                total[2] = tuple([table[code] for code in total[2]])
+        else:
+            base, n = 4 * width, self._source.n
+            for total in self._sums.values():
+                packed, term = total[2], [None] * n
+                for at in range(n - 1, -1, -1):
+                    packed, code = divmod(packed, base)
+                    term[at] = table[code]
+                total[2] = tuple(term)
+        self._decoded = True
 
 
 def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterResult:
@@ -147,70 +216,74 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     fermionic = state.statistics is Statistics.FERMION
     width = 1 + max((slot.q or 0 for term in state.terms for slot in term), default=0)
     to_v, to_u = 2 * width, 3 * width  # codes of v(0) and u(0)
-    slots: dict[int, SingleParticleState] = {}  # code -> slot, for decoding
+    # Process A takes phi (code q) to v(q) and psi (code width + q) to u(q),
+    # adding to_v to each code; process B adds to_u to phi's code (u) and
+    # width to psi's (v).  A packed bosonic key holds slot k's code times
+    # weights[k], so a move adds the code's lift times that weight.
+    base = 4 * width
+    weights = [base ** (state.n - 1 - k) for k in range(state.n)]
+    lift_v = [to_v * weight for weight in weights]
+    lift_u = [to_u * weight for weight in weights]
+    lift_psi = [width * weight for weight in weights]
     records: list[tuple] | None = [] if paths else None
-    numbers: dict[tuple[int, ...], int] = {}  # destination code -> its number
-    sums: list[list[complex]] = []  # per number: [ca, cb], summed in path order
+    sums: dict = {}  # destination key -> [ca, cb, key], summed in path order
+    get = sums.get
     for index, (term, form) in enumerate(state.terms.items()):
         if form.ca != 0 or form.cb != 0:
             raise ValueError("state was already scattered; the event applies only once")
-        key = tuple([mode * width + (q or 0) for mode, q in term])
-        slots.update(zip(key, term))
+        codes = [mode * width + (q or 0) for mode, q in term]
+        phis = [i for i, code in enumerate(codes) if code < width]
+        psis = [j for j, code in enumerate(codes) if width <= code < to_v]
+        # Bosonic values are 1 * c0; the product is kept for its signed zeros.
+        plus, minus = 1 * form.c0, -1 * form.c0
         if fermionic:
+            key = tuple(codes)
             if not is_canonical_fermion_term(key):
                 raise ValueError("fermionic state keys must be canonical")
             occupied = set(key)
-        # Bosonic values are 1 * c0; the product is kept for its signed zeros.
-        plus, minus = 1 * form.c0, -1 * form.c0
-        # (phi slot, psi slot, component, new phi state, new psi state): process A
-        # takes phi (code q) to v(q) = phi + to_v and psi (code width + q) to
-        # u(q) = psi + to_v; process B takes them to u = phi + to_u and v = psi + width.
-        moves = [
-            move
-            for i, phi in enumerate(key)
-            if phi < width
-            for j, psi in enumerate(key)
-            if width <= psi < to_v
-            for move in ((i, j, 0, phi + to_v, psi + to_v), (i, j, 1, phi + to_u, psi + width))
-        ]
-        for i, j, component, new_i, new_j in moves:
-            if fermionic:
-                # The two fresh states occupy different modes, so they
-                # never collide with each other.
-                if new_i in occupied or new_j in occupied:
-                    continue
-                dest, sign = _fermion_destination(key, i, j, new_i, new_j)
-                value = plus if sign > 0 else minus
-            else:
-                destination = list(key)
-                destination[i] = new_i
-                destination[j] = new_j
-                dest = tuple(destination)
-                sign, value = 1, plus
-            number = numbers.get(dest)
-            if number is None:
-                number = numbers[dest] = len(sums)
-                total = [0j, 0j]
-                total[component] = value
-                sums.append(total)
-            else:
-                sums[number][component] += value
-            if paths:
-                records.append((index, component, i, j, sign, value, number))
-    # The fresh v and u states keep the q of the slot they came from.
-    for code, slot in list(slots.items()):
-        if code < to_v:
-            q = code % width
-            slots.setdefault(to_v + q, SingleParticleState(Mode.V, slot.q))
-            slots.setdefault(to_u + q, SingleParticleState(Mode.U, slot.q))
-    destinations = [tuple([slots[c] for c in code]) for code in numbers]
-    final = {}
-    for code, number in sorted(numbers.items()):
-        ca, cb = sums[number]
-        if ca != 0 or cb != 0:
-            final[destinations[number]] = AmplitudeForm(ca=ca, cb=cb)
-    final_state = ManyBodyState(state.statistics, state.n, final)
-    return ScatterResult(final_state, state, records, destinations)
+            for i in phis:
+                for j in psis:
+                    moves = ((0, key[i] + to_v, key[j] + to_v), (1, key[i] + to_u, key[j] + width))
+                    for component, new_i, new_j in moves:
+                        # The two fresh states occupy different modes, so
+                        # they never collide with each other.
+                        if new_i in occupied or new_j in occupied:
+                            continue
+                        dest, sign = _fermion_destination(key, i, j, new_i, new_j)
+                        value = plus if sign > 0 else minus
+                        total = get(dest)
+                        if total is None:
+                            total = sums[dest] = [0j, 0j, dest]
+                            total[component] = value
+                        else:
+                            total[component] += value
+                        if paths:
+                            records.append((index, component, i, j, sign, value, total))
+            continue
+        packed = 0
+        for code in codes:
+            packed = packed * base + code
+        # Both processes of one slot pair, written out: no tuple per path.
+        for i in phis:
+            start_a, start_b = packed + lift_v[i], packed + lift_u[i]
+            for j in psis:
+                dest = start_a + lift_v[j]
+                total = get(dest)
+                if total is None:
+                    total = sums[dest] = [plus, 0j, dest]
+                else:
+                    total[0] += plus
+                if paths:
+                    records.append((index, 0, i, j, 1, plus, total))
+                dest = start_b + lift_psi[j]
+                total = get(dest)
+                if total is None:
+                    total = sums[dest] = [0j, plus, dest]
+                else:
+                    total[1] += plus
+                if paths:
+                    records.append((index, 1, i, j, 1, plus, total))
+    return ScatterResult(state, records, sums, width)
 
 
 def _fermion_destination(

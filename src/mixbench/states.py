@@ -8,9 +8,11 @@ parity of the sorting permutation is folded into the coefficient, which
 keeps term identity collision-free without expanding n! permutations.
 
 Distinct stored terms are orthonormal for both statistics, so
-``state_norm`` is the plain l2 norm of the evaluated coefficients.  The
-input checks of the two experiments, ``validate_fock_point`` and
-``validate_coherent_point``, live here and every route calls them.
+``state_norm`` is the plain l2 norm of the evaluated coefficients, and
+``coefficient_norm`` is the same loop over a scattered state's
+``(ca, cb)`` pairs.  The input checks of the two experiments,
+``validate_fock_point`` and ``validate_coherent_point``, live here and
+every route calls them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "StatisticsMismatchError",
     "antisymmetrize",
     "canonical_fermion_term",
+    "coefficient_norm",
     "coherent_initial_state",
     "fock_initial_state",
     "is_canonical_fermion_term",
@@ -339,9 +342,26 @@ def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> Ma
 
 
 def state_norm(state: ManyBodyState, sa: complex = 0j, sb: complex = 0j) -> float:
+    return _l2_norm(form.evaluate(sa, sb) for form in state.terms.values())
+
+
+def coefficient_norm(
+    pairs: Iterable[tuple[complex, complex]], sa: complex = 0j, sb: complex = 0j
+) -> float:
+    """``state_norm`` of a scattered state from its ``(ca, cb)`` pairs, bit for bit.
+
+    A scattered form has c0 = 0, and dropping ``0 +`` from its evaluation
+    changes at most the sign of a zero, which ``abs`` ignores.
+    """
+    sa, sb = complex(sa), complex(sb)
+    return _l2_norm(ca * sa + cb * sb for ca, cb in pairs)
+
+
+def _l2_norm(values: Iterable[complex]) -> float:
+    """The one norm loop: sqrt of the sum of |value|^2, in iteration order."""
     total = 0.0
-    for form in state.terms.values():
-        total += abs(form.evaluate(sa, sb)) ** 2
+    for value in values:
+        total += abs(value) ** 2
     return math.sqrt(total)
 
 

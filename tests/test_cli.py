@@ -1,12 +1,15 @@
 import csv
+import gc
 import io
 import json
 import math
+import weakref
 
 import pytest
 
 from mixbench import cli
 from mixbench.cli import main
+from mixbench.states import Statistics, state_norm
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +192,14 @@ def test_config_file_with_cli_override(capsys, tmp_path):
          "--n1", "2", "--n2", "1", "--n3", "0", "v(1) u u"),
         ("verify", "--nmax", "x"),
         ("verify", "--tolerance", "abc"),
+        ("run", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "2", "--n2", "2", "--n3", "1", "--tolerance", "nan"),
+        ("run", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "2", "--n2", "2", "--n3", "1", "--tolerance", "inf"),
+        ("verify", "--nmax", "3", "--tolerance", "nan"),
+        ("verify", "--nmax", "3", "--tolerance", "inf"),
+        ("paths", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "1", "--n2", "1", "--n3", "0", "v u", "--format", "csv"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -223,6 +234,54 @@ def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv):
         assert seen == [True]  # one scatter, whose records the listing reads
     else:
         assert seen and not any(seen)
+
+
+SIGNED_ZERO_PAIRS = [
+    (complex(-0.0, 0.0), complex(0.0, -0.0)),
+    (complex(1.0, -0.0), complex(-0.0, -0.0)),
+    (0.3 + 0.1j, complex(-0.0, 0.2)),
+    (1 + 0j, -1 + 0j),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment,statistics,point",
+    [
+        (cli.EXPERIMENT_FOCK, Statistics.BOSON, {"n1": 2, "n2": 3, "n3": 1}),
+        (cli.EXPERIMENT_FOCK, Statistics.FERMION, {"n1": 3, "n2": 2, "n3": 1}),
+        (cli.EXPERIMENT_COHERENT, Statistics.BOSON, {"n": 4, "epsilon": 0.2}),
+        (cli.EXPERIMENT_COHERENT, Statistics.FERMION, {"n": 4, "epsilon": 0.2}),
+    ],
+)
+def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(
+    monkeypatch, experiment, statistics, point
+):
+    results = []
+    scatter = cli.apply_first_order
+
+    def spy(state, **kwargs):
+        result = scatter(state, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "apply_first_order", spy)
+    firstq = cli.point_evaluators(experiment, statistics, point, ("firstq",))["firstq"]
+    gc.collect()
+    assert [ref() for ref in results] == [None]  # the result, its state and sums are gone
+    (pairs,) = firstq.args  # what the evaluator keeps: (ca, cb) pairs, no terms or forms
+    assert all(type(ca) is complex and type(cb) is complex for ca, cb in pairs)
+    final = scatter(cli._initial_first_quantized(experiment, statistics, point)).final_state
+    for sa, sb in SIGNED_ZERO_PAIRS:
+        assert firstq(sa, sb) == state_norm(final, sa, sb)
+
+
+def test_paths_rejects_csv_format(capsys):
+    code, out, err = run_cli(
+        capsys, "paths", "--experiment", "type1", "--statistics", "boson",
+        "--n1", "1", "--n2", "1", "--n3", "0", "v u", "--format", "csv",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: paths --format must be table or json\n"
 
 
 def test_unknown_config_key_exits_two(capsys, tmp_path):
@@ -261,8 +320,10 @@ def test_verify_refuses_nmax_above_its_grids(capsys, tmp_path):
     [
         ("nmax = x", "--nmax expects an integer, got 'x'"),
         ("tolerance = abc", "--tolerance expects a real number, got 'abc'"),
+        ("tolerance = nan", "--tolerance must be finite, got 'nan'"),
+        ("tolerance = inf", "--tolerance must be finite, got 'inf'"),
     ],
-    ids=["nmax", "tolerance"],
+    ids=["nmax", "tolerance", "tolerance-nan", "tolerance-inf"],
 )
 def test_verify_rejects_malformed_config_values(capsys, tmp_path, line, message):
     cfg = tmp_path / "verify.cfg"

@@ -21,6 +21,7 @@ from mixbench.states import (
     SingleParticleState,
     Statistics,
     canonical_fermion_term,
+    coefficient_norm,
     coherent_initial_state,
     fock_initial_state,
     make_state,
@@ -28,6 +29,7 @@ from mixbench.states import (
     permute_slots,
     sector_of,
     state_norm,
+    symmetrize,
 )
 
 PHI, PSI, V, U = Mode.PHI, Mode.PSI, Mode.V, Mode.U
@@ -380,6 +382,114 @@ def test_recordless_scatter_gives_the_same_state_and_paths(statistics, build):
     # the first read replays the scatter with records, and is cached
     assert recordless.paths == recorded.paths
     assert recordless.paths is recordless.paths
+
+
+def forms_by_repr(terms):
+    # repr tells signed zeros apart, which == does not
+    return [(term, repr(form)) for term, form in terms.items()]
+
+
+def naive_path_order_sums(state):
+    """Reference final terms: the naive paths' values summed per destination in path order.
+
+    A destination's first value is taken as it is and later ones added, so
+    signed zeros come out as the scatter makes them; ``make_state`` in
+    ``naive_scatter`` merges through form addition and loses them.
+    """
+    paths, _ = naive_scatter(state)
+    sums = {}
+    for _, process, _, _, _, value, dest in paths:
+        component = 0 if process == PROCESS_A else 1
+        if dest in sums:
+            sums[dest][component] += value
+        else:
+            sums[dest] = [0j, 0j]
+            sums[dest][component] = value
+    return {
+        dest: AmplitudeForm(ca=ca, cb=cb)
+        for dest, (ca, cb) in sorted(sums.items())
+        if ca != 0 or cb != 0
+    }
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("build", TEST_STATES)
+def test_lazy_final_state_matches_naive_bit_for_bit(statistics, build):
+    state = build(statistics)
+    expected = forms_by_repr(naive_path_order_sums(state))
+    for paths in (False, True):
+        result = apply_first_order(state, paths=paths)
+        assert forms_by_repr(result.final_state.terms) == expected
+
+
+@st.composite
+def boson_states(draw):
+    n = draw(st.integers(1, 7))
+    keys = draw(
+        st.lists(
+            st.lists(st.sampled_from(list(Mode)), min_size=n, max_size=n).map(lambda m: b(*m)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    values = draw(
+        st.lists(
+            st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+            min_size=len(keys),
+            max_size=len(keys),
+        )
+    )
+    terms = {key: AmplitudeForm.constant(c) for key, c in zip(keys, values)}
+    return ManyBodyState(Statistics.BOSON, n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boson_states())
+def test_packed_boson_keys_match_naive(state):
+    # Unsorted multi-term inputs: destinations of different sources collide.
+    assert_matches_naive(state)
+    final = apply_first_order(state, paths=False).final_state
+    assert forms_by_repr(final.terms) == forms_by_repr(naive_path_order_sums(state))
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("build", TEST_STATES)
+def test_coefficients_are_the_final_forms_ca_cb(statistics, build):
+    result = apply_first_order(build(statistics), paths=False)
+    before = result.coefficients  # read from the raw sums
+    expected = [(form.ca, form.cb) for form in result.final_state.terms.values()]
+    assert repr(before) == repr(expected)
+    assert repr(result.coefficients) == repr(expected)  # read from the built state
+
+
+SIGNED_ZERO_PAIRS = [
+    (1 + 0j, 1 + 0j),
+    (complex(-0.0, 0.0), complex(0.0, -0.0)),
+    (complex(1.0, -0.0), complex(-0.0, -0.0)),
+    (0.3 + 0.1j, complex(-0.0, 0.2)),
+]
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("build", TEST_STATES)
+def test_coefficient_norm_is_state_norm_bit_for_bit(statistics, build):
+    result = apply_first_order(build(statistics), paths=False)
+    pairs = result.coefficients
+    for sa, sb in SIGNED_ZERO_PAIRS:
+        assert coefficient_norm(pairs, sa, sb) == state_norm(result.final_state, sa, sb)
+
+
+def test_non_finite_sums_raise_the_form_error_when_read():
+    # Two paths of 1.5e308 land on each destination and overflow to inf.
+    orderings = symmetrize(parse_term("phi psi v")).terms
+    big = AmplitudeForm.constant(1.5e308)
+    state = ManyBodyState(Statistics.BOSON, 3, dict.fromkeys(orderings, big))
+    message = r"^ca must be finite, got \(inf\+0j\)$"
+    with pytest.raises(ValueError, match=message):
+        apply_first_order(state, paths=False).coefficients
+    with pytest.raises(ValueError, match=message):
+        apply_first_order(state, paths=False).final_state
 
 
 def test_rejects_non_canonical_fermion_key():

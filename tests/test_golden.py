@@ -31,6 +31,18 @@ CASES = [
         ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "1:3", "--n2", "1:3",
          "--n3", "0:2", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
     ),
+    # Benchmark-scale boson points: 12,600 packed destinations at (4,3,3), and the
+    # 3^8-term type2 expansion.
+    (
+        "type1_run_boson_433.csv",
+        ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "4", "--n2", "3",
+         "--n3", "3", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
+    ),
+    (
+        "type2_run_boson_n8.csv",
+        ["run", "--experiment", "type2", "--statistics", "boson", "--n", "8",
+         "--epsilon", "0,0.2", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
+    ),
     (
         "type1_paths_boson.txt",
         ["paths", "--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",
