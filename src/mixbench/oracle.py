@@ -7,6 +7,14 @@ applied with explicit ladder-operator algebra, sqrt factors for bosons and
 anticommutation sign strings for fermions, which shares no code with the
 first-quantized path enumeration.
 
+Inside ``apply_fwm_operator`` a fermionic key is an int bitmask.  Each call
+ranks the slots it can touch by (mode, q) and gives the slot of rank r bit
+K-1-r of K, so descending masks are ascending Slater keys.  A ladder step
+on the slot at bit b is a bit test and a flip, and its sign is the parity
+of the occupied slots above it, ``(mask >> b).bit_count()``.  The result
+keeps one complex sum per mask; its ``terms`` decode the masks and build
+the forms only when read, and ``oracle_scattered_norm`` reads the sums.
+
 Both fermionic occupation inputs, Fock and coherent, are the
 first-quantized states read through ``from_first_quantized``: their Slater
 keys already are occupation keys, so both routes start from the same
@@ -17,8 +25,8 @@ cross-check tests.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .amplitudes import AmplitudeForm
@@ -38,6 +46,7 @@ from .states import (
 
 __all__ = [
     "OccupationState",
+    "ScatteredOccupation",
     "apply_fwm_operator",
     "coherent_occupation_state",
     "fock_occupation_state",
@@ -139,25 +148,44 @@ def coherent_occupation_state(
     return OccupationState(statistics, n, terms)
 
 
-def _annihilate(occ: FermionOccupation, key: SingleParticleState):
-    idx = bisect_left(occ, key)
-    if idx == len(occ) or occ[idx] != key:
-        return None
-    sign = -1 if idx % 2 else 1
-    return sign, occ[:idx] + occ[idx + 1 :]
+class ScatteredOccupation:
+    """The scattered occupation state as pruned sums, keys decoded on demand.
 
+    ``sums`` lists ``(key, total)`` in canonical key order with exact zeros
+    pruned.  A bosonic key is the occupation tuple itself; a fermionic key is
+    an int bitmask whose bit ``b`` stands for ``slots[b]``.  ``terms`` decodes
+    every key to its occupation key and builds one constant form per key on
+    its first read; ``oracle_scattered_norm`` reads ``sums`` and builds none.
+    """
 
-def _create(occ: FermionOccupation, key: SingleParticleState):
-    idx = bisect_left(occ, key)
-    if idx < len(occ) and occ[idx] == key:
-        return None
-    sign = -1 if idx % 2 else 1
-    return sign, occ[:idx] + (key,) + occ[idx:]
+    def __init__(
+        self,
+        sums: list[tuple[OccupationKey | int, complex]],
+        slots: tuple[SingleParticleState, ...] | None = None,
+    ) -> None:
+        self.sums = sums
+        self._slots = slots
+
+    @cached_property
+    def terms(self) -> dict[OccupationKey, AmplitudeForm]:
+        slots = self._slots
+        if slots is None:
+            return {key: AmplitudeForm.constant(total) for key, total in self.sums}
+        terms = {}
+        for mask, total in self.sums:
+            # Highest bit first: that is the lowest (mode, q), as in a Slater key.
+            key = []
+            while mask:
+                bit = mask.bit_length() - 1
+                key.append(slots[bit])
+                mask ^= 1 << bit
+            terms[tuple(key)] = AmplitudeForm.constant(total)
+        return terms
 
 
 def apply_fwm_operator(
     state: OccupationState, sa: complex, sb: complex
-) -> OccupationState:
+) -> ScatteredOccupation:
     """Apply the scattering event with explicit ladder-operator algebra.
 
     Bosons: one merged vertex (sa+sb) * create(v) create(u) annihilate(psi)
@@ -166,12 +194,23 @@ def apply_fwm_operator(
     create(v,q') acting after annihilate(psi,q') annihilate(phi,q), with
     anticommutation signs counted against the fixed (mode rank, q) order.
 
+    A fermionic key is coded as an int bitmask.  Every slot of the input,
+    and the v and u states of each of its phi and psi q labels, is ranked by
+    (mode, q), and the slot of rank r gets bit K-1-r of K, so descending
+    masks are ascending Slater keys.  Annihilating or creating the slot at
+    bit b is a bit test and a flip; its sign is the parity of the occupied
+    slots ranked before it, ``(mask >> b).bit_count()`` with bit b clear,
+    and a creation onto a set bit is Pauli blocked.  A fermionic key that is
+    not a canonical Slater key of n slots, with q labels that are ints
+    >= 1, raises ``ValueError``.
+
     The input must be unscattered: each coefficient is read as a constant.
-    Every key sums its contributions as one complex number in path order,
-    and one form is built per key that survives, exact zeros pruned.
+    Every key sums its contributions as one complex number in path order;
+    the result holds the sums in canonical key order, exact zeros pruned,
+    and builds forms only when its ``terms`` are read.
     """
-    merged: dict[OccupationKey, complex] = {}
     if state.statistics is Statistics.BOSON:
+        merged: dict[BosonOccupation, complex] = {}
         vertex = complex(sa) + complex(sb)
         for occ, form in state.terms.items():
             value = form.constant_value()
@@ -181,55 +220,106 @@ def apply_fwm_operator(
             factor = vertex * math.sqrt(n_phi * n_psi * (n_v + 1) * (n_u + 1))
             # Distinct occupations scatter to distinct keys: nothing to sum.
             merged[(n_phi - 1, n_psi - 1, n_v + 1, n_u + 1)] = value * factor
-    else:
-        # Each process's amplitude times each sign a path can carry.
-        signed_a = {sign: sign * complex(sa) for sign in (1, -1)}
-        signed_b = {sign: sign * complex(sb) for sign in (1, -1)}
-        # Per q label: its v and u states, made once.
-        outputs: dict[int, tuple[SingleParticleState, SingleParticleState]] = {}
-        for occ, form in state.terms.items():
-            value = form.constant_value()
-            phis = [slot for slot in occ if slot.mode is Mode.PHI]
-            psis = [slot for slot in occ if slot.mode is Mode.PSI]
-            for slot in phis + psis:
-                if slot.q not in outputs:
-                    outputs[slot.q] = (
-                        SingleParticleState(Mode.V, slot.q),
-                        SingleParticleState(Mode.U, slot.q),
-                    )
-            for phi in phis:
-                sign_phi, without_phi = _annihilate(occ, phi)
-                v_q, u_q = outputs[phi.q]
-                for psi in psis:
-                    sign_psi, remaining = _annihilate(without_phi, psi)
-                    v_qp, u_qp = outputs[psi.q]
-                    for signed, creations in ((signed_a, (u_qp, v_q)), (signed_b, (v_qp, u_q))):
-                        sign = sign_phi * sign_psi
-                        current = remaining
-                        for key in creations:
-                            step = _create(current, key)
-                            if step is None:
-                                break
-                            sign, current = step[0] * sign, step[1]
-                        else:
-                            # Start from the first contribution: adding it
-                            # to 0j could turn a -0.0 part into 0.0.
-                            contribution = value * signed[sign]
-                            if current in merged:
-                                merged[current] += contribution
-                            else:
-                                merged[current] = contribution
-    ordered = {
-        key: AmplitudeForm.constant(total)
-        for key, total in sorted(merged.items())
+        sums = [(key, total) for key, total in sorted(merged.items()) if total != 0]
+        return ScatteredOccupation(sums)
+
+    slots, table = _rank_slots(state)
+    top = len(slots)
+    phi_mode, psi_mode = Mode.PHI, Mode.PSI
+    # Each process's amplitude times each sign a path can carry; -1 * z, not
+    # -z, whose zero parts can carry the other sign.
+    plus_a, minus_a = 1 * complex(sa), -1 * complex(sa)
+    plus_b, minus_b = 1 * complex(sb), -1 * complex(sb)
+    merged_masks: dict[int, complex] = {}
+    get = merged_masks.get
+    for occ, form in state.terms.items():
+        value = form.constant_value()
+        if len(occ) != state.n:
+            raise ValueError("fermionic state keys must be canonical")
+        # Encode the key; a canonical key's bits strictly decrease.
+        mask, above = 0, top
+        phis, psis = [], []
+        for slot in occ:
+            bit, mode, moves = table[slot]
+            if bit >= above:
+                raise ValueError("fermionic state keys must be canonical")
+            above = bit
+            mask |= 1 << bit
+            if mode is phi_mode:
+                phis.append(moves)
+            elif mode is psi_mode:
+                psis.append(moves)
+        # The four signed products of this term, each made once.
+        a_even, a_odd = value * plus_a, value * minus_a
+        b_even, b_odd = value * plus_b, value * minus_b
+        for phi, phi_flag, v_q, v_q_flag, u_q, u_q_flag in phis:
+            without_phi = mask ^ phi_flag
+            parity_phi = (without_phi >> phi).bit_count()
+            for psi, psi_flag, v_qp, v_qp_flag, u_qp, u_qp_flag in psis:
+                remaining = without_phi ^ psi_flag
+                parity = parity_phi + (remaining >> psi).bit_count()
+                # Process A creates u(q') and then v(q); process B creates
+                # v(q') and then u(q).  Each is written out, and the two new
+                # states never coincide.  A sum starts from its first
+                # contribution: adding it to 0j could turn a -0.0 part into 0.0.
+                if not (remaining & u_qp_flag or remaining & v_q_flag):
+                    grown = remaining | u_qp_flag
+                    dest = grown | v_q_flag
+                    odd = (
+                        parity + (remaining >> u_qp).bit_count() + (grown >> v_q).bit_count()
+                    ) & 1
+                    contribution = a_odd if odd else a_even
+                    total = get(dest)
+                    merged_masks[dest] = contribution if total is None else total + contribution
+                if not (remaining & v_qp_flag or remaining & u_q_flag):
+                    grown = remaining | v_qp_flag
+                    dest = grown | u_q_flag
+                    odd = (
+                        parity + (remaining >> v_qp).bit_count() + (grown >> u_q).bit_count()
+                    ) & 1
+                    contribution = b_odd if odd else b_even
+                    total = get(dest)
+                    merged_masks[dest] = contribution if total is None else total + contribution
+    sums = [
+        (mask, total)
+        for mask, total in sorted(merged_masks.items(), reverse=True)
         if total != 0
-    }
-    return OccupationState(state.statistics, state.n, ordered)
+    ]
+    return ScatteredOccupation(sums, slots)
 
 
-def oracle_scattered_norm(state: OccupationState) -> float:
-    """Plain l2 norm of an already scattered occupation state."""
+def _rank_slots(state: OccupationState) -> tuple[tuple[SingleParticleState, ...], dict]:
+    """The slots a fermion scatter can touch, indexed by bit, and each slot's entry.
+
+    A slot's entry is ``(bit, mode, moves)``; for a phi or psi slot,
+    ``moves`` holds the bit and flag ``1 << bit`` of itself, of v(q) and of
+    u(q).  A q label that is not an int >= 1 raises ``ValueError``.
+    """
+    slots = set()
+    for occ in state.terms:
+        slots.update(occ)
+    for slot in list(slots):
+        if not isinstance(slot.q, int) or slot.q < 1:
+            raise ValueError("fermionic state keys must be canonical")
+        if slot.mode is Mode.PHI or slot.mode is Mode.PSI:
+            slots.add(SingleParticleState(Mode.V, slot.q))
+            slots.add(SingleParticleState(Mode.U, slot.q))
+    ranked = sorted(slots)
+    bit_of = {slot: len(ranked) - 1 - rank for rank, slot in enumerate(ranked)}
+    table = {}
+    for slot, bit in bit_of.items():
+        moves = None
+        if slot.mode is Mode.PHI or slot.mode is Mode.PSI:
+            v = bit_of[SingleParticleState(Mode.V, slot.q)]
+            u = bit_of[SingleParticleState(Mode.U, slot.q)]
+            moves = (bit, 1 << bit, v, 1 << v, u, 1 << u)
+        table[slot] = (bit, slot.mode, moves)
+    return tuple(reversed(ranked)), table
+
+
+def oracle_scattered_norm(result: ScatteredOccupation) -> float:
+    """Plain l2 norm of a scattered occupation state, read from its sums."""
     total = 0.0
-    for form in state.terms.values():
-        total += abs(form.constant_value()) ** 2
+    for _, value in result.sums:
+        total += abs(value) ** 2
     return math.sqrt(total)

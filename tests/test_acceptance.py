@@ -24,7 +24,7 @@ from mixbench.formulas import (
     fock_fermion_case,
 )
 from mixbench.oracle import (
-    _create,
+    OccupationState,
     apply_fwm_operator,
     coherent_occupation_state,
     fock_occupation_state,
@@ -394,26 +394,36 @@ def test_acceptance_9_property_suite(announce):
             problems.append(f"linearity broken for {statistics} at factor {factor}")
         cases += 1
 
-    # anticommutation of the oracle's creation algebra
+    # anticommutation of the oracle's creation algebra: from phi(q) and psi(q),
+    # process A creates u(q) then v(q) and process B v(q) then u(q), so both
+    # reach one key with opposite signs, cancel at sa = sb, and are blocked
+    # together when v(q) or u(q) is already occupied
+    seeds = [SingleParticleState(mode, q) for mode in (Mode.V, Mode.U) for q in range(1, 4)]
     for _ in range(220):
-        pool = [SingleParticleState(m, q) for m in modes for q in range(1, 4)]
-        rng.shuffle(pool)
-        occupied = tuple(sorted(pool[: rng.randint(0, 4)]))
-        x, y = pool[-2], pool[-1]
-        created_x = _create(occupied, x)
-        created_y = _create(occupied, y)
-        if created_x is None or created_y is None:
-            problems.append("creation on a free slot failed")
-            cases += 1
-            continue
-        sign_x, with_x = created_x
-        sign_y, with_y = created_y
-        sign_xy, xy = _create(with_x, y)
-        sign_yx, yx = _create(with_y, x)
-        if xy != yx or sign_x * sign_xy != -(sign_y * sign_yx):
-            problems.append(f"anticommutation broken for {x}, {y} on {occupied}")
-        if _create(with_x, x) is not None:
-            problems.append(f"double creation of {x} accepted")
+        q = rng.randint(1, 3)
+        pair = {SingleParticleState(Mode.PHI, q), SingleParticleState(Mode.PSI, q)}
+        rng.shuffle(seeds)
+        occupied = tuple(sorted(pair.union(seeds[: rng.randint(0, 4)])))
+        state = OccupationState(
+            Statistics.FERMION, len(occupied), {occupied: AmplitudeForm.constant(1.0)}
+        )
+        only_a = apply_fwm_operator(state, 1 + 0j, 0j).terms
+        only_b = apply_fwm_operator(state, 0j, 1 + 0j).terms
+        both = apply_fwm_operator(state, 1 + 0j, 1 + 0j).terms
+        created = {SingleParticleState(Mode.V, q), SingleParticleState(Mode.U, q)}
+        if created & set(occupied):
+            if only_a or only_b:
+                problems.append(f"double creation accepted on {occupied}")
+        else:
+            key = tuple(sorted(set(occupied) - pair | created))
+            if (
+                list(only_a) != [key]
+                or list(only_b) != [key]
+                or abs(only_a[key].c0) != 1
+                or only_a[key].c0 != -only_b[key].c0
+                or both
+            ):
+                problems.append(f"anticommutation broken for q={q} on {occupied}")
         cases += 2
 
     status = "PASS" if not problems else "FAIL"

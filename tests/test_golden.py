@@ -43,6 +43,12 @@ CASES = [
         ["run", "--experiment", "type2", "--statistics", "boson", "--n", "8",
          "--epsilon", "0,0.2", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
     ),
+    # The benchmark's fermion points: 16,472 oracle keys per point at n = 8.
+    (
+        "type2_run_fermion_n8.csv",
+        ["run", "--experiment", "type2", "--statistics", "fermion", "--n", "8",
+         "--epsilon", "0.2,0.5", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
+    ),
     (
         "type1_paths_boson.txt",
         ["paths", "--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",

@@ -87,3 +87,23 @@ def test_package_exports_each_library_module_once():
     for module in (mixbench.amplitudes, mixbench.engine, mixbench.formulas, mixbench.oracle,
                    mixbench.states):
         assert set(module.__all__) <= set(mixbench.__all__)
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an import names, relative ones by their bare name."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is not None:
+                modules.add(node.module)
+            # ``from . import engine`` names the module as an alias.
+            modules.update(alias.name for alias in node.names)
+    return {name.rpartition(".")[2] for name in modules}
+
+
+@pytest.mark.parametrize("module,other", [("oracle", "engine"), ("engine", "oracle")])
+def test_exact_routes_do_not_import_each_other(module, other):
+    tree = ast.parse((ROOT / "src" / "mixbench" / f"{module}.py").read_text(encoding="utf-8"))
+    assert other not in imported_modules(tree), f"{module}.py imports from {other}"

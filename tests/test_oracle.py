@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 from itertools import product
 
 import pytest
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from mixbench.engine import apply_first_order
 from mixbench.oracle import (
     OccupationState,
-    _annihilate,
-    _create,
     apply_fwm_operator,
     coherent_occupation_state,
     fock_occupation_state,
@@ -205,6 +204,24 @@ def test_coherent_fermion_occupation_matches_canonicalized_reference(n, epsilon)
     ]
 
 
+def _annihilate(occ, key):
+    """Remove key from a sorted occupation: (sign, rest), or None when absent."""
+    idx = bisect_left(occ, key)
+    if idx == len(occ) or occ[idx] != key:
+        return None
+    sign = -1 if idx % 2 else 1
+    return sign, occ[:idx] + occ[idx + 1 :]
+
+
+def _create(occ, key):
+    """Insert key into a sorted occupation: (sign, grown), or None when occupied."""
+    idx = bisect_left(occ, key)
+    if idx < len(occ) and occ[idx] == key:
+        return None
+    sign = -1 if idx % 2 else 1
+    return sign, occ[:idx] + (key,) + occ[idx:]
+
+
 def apply_fwm_reference(state, sa, sb):
     """The ladder-operator loop as first written: one form per path, merged form by form."""
     merged = {}
@@ -290,3 +307,69 @@ def test_apply_fwm_operator_rejects_scattered_input(statistics, key, form):
     state = OccupationState(statistics, 2, {key: form})
     with pytest.raises(ValueError, match="scattering amplitudes"):
         apply_fwm_operator(state, 1 + 0j, 1 + 0j)
+
+
+@pytest.mark.parametrize(
+    "n,key",
+    [
+        pytest.param(3, f((PHI, 1), (PHI, 1), (PSI, 2)), id="repeated-slot"),
+        pytest.param(2, f((PSI, 2), (PHI, 1)), id="unsorted"),
+        pytest.param(2, (SingleParticleState(PHI), SingleParticleState(PSI, 1)), id="q-none"),
+        pytest.param(3, f((PHI, 1), (PSI, 2)), id="short-key"),
+    ],
+)
+def test_apply_fwm_operator_rejects_non_canonical_fermion_keys(n, key):
+    state = OccupationState(Statistics.FERMION, n, {key: AmplitudeForm.constant(1.0)})
+    with pytest.raises(ValueError, match="^fermionic state keys must be canonical$"):
+        apply_fwm_operator(state, 1 + 0j, 1 + 0j)
+
+
+SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+# Real and imaginary values with a signed zero part: -1 * z and -z differ there.
+amplitudes = st.one_of(
+    st.sampled_from(
+        SIGNED_ZEROS
+        + [complex(1.0, 0.0), complex(-0.7, 0.0), complex(0.5, -0.0), complex(-0.0, 1.0)]
+    ),
+    st.floats(min_value=-2, max_value=2).map(complex),
+    st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def fermion_occupation_states(draw):
+    """Canonical Slater keys over sparse q labels, seed v and u slots included."""
+    labels = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+    pool = [SingleParticleState(mode, q) for mode in (PHI, PSI, V, U) for q in labels]
+    n = draw(st.integers(1, min(6, len(pool))))
+    keys = draw(
+        st.lists(
+            st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True).map(
+                lambda slots: tuple(sorted(slots))
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    values = draw(st.lists(amplitudes, min_size=len(keys), max_size=len(keys)))
+    terms = {key: AmplitudeForm.constant(value) for key, value in zip(keys, values)}
+    return OccupationState(Statistics.FERMION, n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fermion_occupation_states(), amplitudes, amplitudes)
+def test_fermion_bitmask_kernel_matches_reference_bit_for_bit(state, sa, sb):
+    scattered = apply_fwm_operator(state, sa, sb)
+    assert "terms" not in vars(scattered)
+    norm_from_sums = oracle_scattered_norm(scattered)
+    reference = apply_fwm_reference(state, sa, sb)
+    assert list(scattered.terms) == list(reference)
+    assert [repr(form.c0) for form in scattered.terms.values()] == [
+        repr(form.c0) for form in reference.values()
+    ]
+    total = 0.0
+    for form in scattered.terms.values():
+        total += abs(form.c0) ** 2
+    assert repr(norm_from_sums) == repr(math.sqrt(total))
+    assert repr(oracle_scattered_norm(scattered)) == repr(norm_from_sums)
