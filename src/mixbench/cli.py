@@ -15,7 +15,10 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
+from typing import NamedTuple
 
+from collections import Counter
 from collections.abc import Callable
 
 # bench/tracing.py times the layers by replacing the functions imported below,
@@ -52,8 +55,6 @@ from .states import (
 
 __all__ = ["main"]
 
-EXPERIMENT_FOCK = "type1"
-EXPERIMENT_COHERENT = "type2"
 ALL_ENGINES = ("firstq", "oracle", "closed")
 EXACT_ENGINES = frozenset({"firstq", "oracle"})
 DEFAULT_TOLERANCE = 1e-10
@@ -63,20 +64,6 @@ VERIFY_EPSILONS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5)
 # Largest verify --nmax: the boson grids and the coherent-gain records stop
 # here, and the fermion grids stop at 7 (type1) and 6 (type2).
 VERIFY_NMAX_LIMIT = 8
-
-CSV_COLUMNS = (
-    "experiment",
-    "statistics",
-    "n1",
-    "n2",
-    "n3",
-    "n",
-    "epsilon",
-    "sA",
-    "sB",
-    "engine",
-    "amplitude",
-)
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -102,9 +89,8 @@ def nmax_cap() -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    experiment: str
     statistics: Statistics
-    points: list[dict]  # the grid, in lexicographic order of its flags
+    points: list[Point]  # the grid, in lexicographic order of its flags
     sa: complex
     sb: complex
     engines: tuple[str, ...] | None
@@ -117,11 +103,7 @@ class RunConfig:
 class VerificationRecord:
     experiment: str
     statistics: str
-    n1: int | None
-    n2: int | None
-    n3: int | None
-    n: int | None
-    epsilon: float | None
+    point: Point | None  # None for the identity records that have no point
     sa: complex
     sb: complex
     values: dict[str, float]
@@ -152,6 +134,95 @@ def parse_float_grid(text: str, name: str) -> tuple[float, ...]:
         raise UsageError(f"--{name} expects a real number or a comma list, got {text!r}") from None
 
 
+Evaluator = Callable[[complex, complex], float]
+
+
+# One point type per experiment holds all that differs between the two. Its
+# methods reach the state builders and closed forms through this module's
+# globals, so that replacing those names on the module reaches them.
+class FockPoint(NamedTuple):
+    """Type I: independent Fock states of n1 phi, n2 psi and n3 seed v particles."""
+
+    n1: int
+    n2: int
+    n3: int
+
+    experiment = "type1"
+
+    @property
+    def n(self) -> int:
+        return self.n1 + self.n2 + self.n3
+
+    @staticmethod
+    def grid(n1: str, n2: str, n3: str) -> tuple[tuple[int, ...], ...]:
+        """Parse the flags' grids; every point is valid when the grid minima are."""
+        grids = (parse_int_grid(n1, "n1"), parse_int_grid(n2, "n2"), parse_int_grid(n3, "n3"))
+        validate_fock_point(*map(min, grids))
+        return grids
+
+    def first_quantized(self, statistics: Statistics):
+        return fock_initial_state(*self, statistics)
+
+    def occupation(self, statistics: Statistics):
+        return fock_occupation_state(*self, statistics)
+
+    def closed_form(self, statistics: Statistics) -> Evaluator:
+        if statistics is Statistics.BOSON:
+            return partial(fock_boson_amplitude, *self)
+        return partial(fock_fermion_amplitude, *self)
+
+    def divergence_note(self, statistics: Statistics) -> str | None:
+        if statistics is Statistics.FERMION:
+            case = fock_fermion_case(*self)
+            if case in CROSS_CASES:
+                return (
+                    f"closed-form cross term ({case}) uses +2*(min(n1,n2)-n3);"
+                    " exact enumeration gives -(min(n1,n2)-n3)"
+                )
+        return None
+
+    def text(self) -> str:
+        return f"n1={self.n1} n2={self.n2} n3={self.n3}"
+
+
+class CoherentPoint(NamedTuple):
+    """Type II: n particles, each in one superposition with |v amplitude|^2 = epsilon."""
+
+    n: int
+    epsilon: float
+
+    experiment = "type2"
+
+    @staticmethod
+    def grid(n: str, epsilon: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Parse the flags' grids; every point is valid when the smallest n is."""
+        ns, epsilons = parse_int_grid(n, "n"), parse_float_grid(epsilon, "epsilon")
+        for e in epsilons:
+            validate_coherent_point(min(ns), e)
+        return ns, epsilons
+
+    def first_quantized(self, statistics: Statistics):
+        return coherent_initial_state(*self, statistics)
+
+    def occupation(self, statistics: Statistics):
+        return coherent_occupation_state(*self, statistics)
+
+    def closed_form(self, statistics: Statistics) -> Evaluator:
+        return partial(coherent_amplitude, *self)
+
+    def divergence_note(self, statistics: Statistics) -> str | None:
+        return None
+
+    def text(self) -> str:
+        return f"n={self.n} eps={self.epsilon:g}"
+
+
+Point = FockPoint | CoherentPoint
+POINT_TYPES = {point_type.experiment: point_type for point_type in (FockPoint, CoherentPoint)}
+# The grid flags of all experiments, in the order records list them.
+POINT_FIELDS = tuple(field for point_type in POINT_TYPES.values() for field in point_type._fields)
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` file; blank lines and # comments allowed.
 
@@ -176,22 +247,25 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "experiment",
-    "statistics",
-    "n1",
-    "n2",
-    "n3",
-    "n",
-    "epsilon",
-    "sa",
-    "sb",
-    "engines",
-    "format",
-    "out",
-    "tolerance",
-    "nmax",
+# The flags of run, with their argparse settings; each is also a config key.
+RUN_FLAGS = {
+    "experiment": {"choices": tuple(POINT_TYPES)},
+    "statistics": {"choices": ("boson", "fermion")},
+    "n1": {"help": "phi-mode count (int, lo:hi or comma list)"},
+    "n2": {"help": "psi-mode count (int, lo:hi or comma list)"},
+    "n3": {"help": "seed v-mode count (int, lo:hi or comma list)"},
+    "n": {"help": "total particle count for type2"},
+    "epsilon": {"help": "v amplitude squared per particle for type2"},
+    "sa": {"help": "process A amplitude, a+bi form (default 1)"},
+    "sb": {"help": "process B amplitude, a+bi form (default 1)"},
+    "engines": {"help": "comma list from firstq, oracle, closed"},
+    "format": {"choices": ("table", "csv", "json")},
+    "out": {"help": "write the output to a file instead of stdout"},
+    "tolerance": {"help": "cross-engine comparison tolerance"},
 }
+# paths lists the first-quantized engine's paths and compares no engines.
+ENGINE_FLAGS = ("engines", "tolerance")
+_CONFIG_KEYS = {*RUN_FLAGS, "nmax"}
 
 
 def config_reader(args: argparse.Namespace) -> Callable[[str], str | None]:
@@ -224,44 +298,27 @@ def parse_tolerance(text: str | None) -> float:
 def build_config(args: argparse.Namespace) -> RunConfig:
     pick = config_reader(args)
 
-    experiment = pick("experiment")
-    if experiment not in (EXPERIMENT_FOCK, EXPERIMENT_COHERENT):
-        raise UsageError("--experiment must be type1 or type2")
+    point_type = POINT_TYPES.get(pick("experiment"))
+    if point_type is None:
+        raise UsageError(f"--experiment must be {' or '.join(POINT_TYPES)}")
     statistics_text = pick("statistics")
     if statistics_text not in ("boson", "fermion"):
         raise UsageError("--statistics must be boson or fermion")
     statistics = Statistics(statistics_text)
 
-    if experiment == EXPERIMENT_FOCK:
-        for key in ("n", "epsilon"):
-            if pick(key) is not None:
-                raise UsageError(f"--{key} does not apply to type1")
-        raw_n1, raw_n2, raw_n3 = pick("n1"), pick("n2"), pick("n3")
-        if raw_n1 is None or raw_n2 is None or raw_n3 is None:
-            raise UsageError("type1 needs --n1, --n2 and --n3")
-        n1 = parse_int_grid(raw_n1, "n1")
-        n2 = parse_int_grid(raw_n2, "n2")
-        n3 = parse_int_grid(raw_n3, "n3")
-        try:
-            validate_fock_point(min(n1), min(n2), min(n3))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        points = [{"n1": a, "n2": b, "n3": c} for a in n1 for b in n2 for c in n3]
-    else:
-        for key in ("n1", "n2", "n3"):
-            if pick(key) is not None:
-                raise UsageError(f"--{key} does not apply to type2")
-        raw_n, raw_eps = pick("n"), pick("epsilon")
-        if raw_n is None or raw_eps is None:
-            raise UsageError("type2 needs --n and --epsilon")
-        n = parse_int_grid(raw_n, "n")
-        epsilon = parse_float_grid(raw_eps, "epsilon")
-        try:
-            for e in epsilon:
-                validate_coherent_point(min(n), e)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        points = [{"n": a, "epsilon": e} for a in n for e in epsilon]
+    fields = point_type._fields
+    for key in POINT_FIELDS:
+        if key not in fields and pick(key) is not None:
+            raise UsageError(f"--{key} does not apply to {point_type.experiment}")
+    raw = [pick(key) for key in fields]
+    if None in raw:
+        *head, last = (f"--{key}" for key in fields)
+        raise UsageError(f"{point_type.experiment} needs {', '.join(head)} and {last}")
+    try:
+        grids = point_type.grid(*raw)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    points = [point_type(*values) for values in product(*grids)]
 
     try:
         sa = parse_complex(pick("sa") or "1")
@@ -282,7 +339,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--format must be table, csv or json")
 
     return RunConfig(
-        experiment=experiment,
         statistics=statistics,
         points=points,
         sa=sa,
@@ -294,52 +350,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def point_total(experiment: str, point: dict) -> int:
-    if experiment == EXPERIMENT_FOCK:
-        return point["n1"] + point["n2"] + point["n3"]
-    return point["n"]
-
-
 def engines_for(
-    experiment: str,
     statistics: Statistics,
-    point: dict,
+    point: Point,
     requested: tuple[str, ...] | None,
     cap: int,
 ) -> tuple[str, ...]:
-    total = point_total(experiment, point)
     fermionic = statistics is Statistics.FERMION
     if requested is not None:
-        if "firstq" in requested and fermionic and total > cap:
+        if "firstq" in requested and fermionic and point.n > cap:
             raise UsageError(
                 f"first-quantized fermion engine capped at n = {cap}"
                 " (set MIXBENCH_NMAX_CAP to raise)"
             )
         return requested
-    if fermionic and total > cap:
+    if fermionic and point.n > cap:
         return tuple(e for e in ALL_ENGINES if e != "firstq")
     return ALL_ENGINES
 
 
-def _initial_first_quantized(experiment: str, statistics: Statistics, point: dict):
-    if experiment == EXPERIMENT_FOCK:
-        return fock_initial_state(point["n1"], point["n2"], point["n3"], statistics)
-    return coherent_initial_state(point["n"], point["epsilon"], statistics)
-
-
-def _initial_occupation(experiment: str, statistics: Statistics, point: dict):
-    if experiment == EXPERIMENT_FOCK:
-        return fock_occupation_state(point["n1"], point["n2"], point["n3"], statistics)
-    return coherent_occupation_state(point["n"], point["epsilon"], statistics)
-
-
-Evaluator = Callable[[complex, complex], float]
-
-
 def point_evaluators(
-    experiment: str,
     statistics: Statistics,
-    point: dict,
+    point: Point,
     engines: tuple[str, ...],
 ) -> dict[str, Evaluator]:
     """Per-engine callables (sa, sb) -> amplitude for one grid point.
@@ -351,43 +383,23 @@ def point_evaluators(
     """
     evaluators: dict[str, Evaluator] = {}
     if "firstq" in engines:
-        pairs = apply_first_order(
-            _initial_first_quantized(experiment, statistics, point), paths=False
-        ).coefficients
+        pairs = apply_first_order(point.first_quantized(statistics), paths=False).coefficients
         evaluators["firstq"] = partial(coefficient_norm, pairs)
     if "oracle" in engines:
-        initial = _initial_occupation(experiment, statistics, point)
+        initial = point.occupation(statistics)
 
         def oracle(sa: complex, sb: complex) -> float:
             return oracle_scattered_norm(apply_fwm_operator(initial, sa, sb))
 
         evaluators["oracle"] = oracle
     if "closed" in engines:
-        if experiment == EXPERIMENT_COHERENT:
-            closed = partial(coherent_amplitude, point["n"], point["epsilon"])
-        elif statistics is Statistics.BOSON:
-            closed = partial(fock_boson_amplitude, point["n1"], point["n2"], point["n3"])
-        else:
-            closed = partial(fock_fermion_amplitude, point["n1"], point["n2"], point["n3"])
-        evaluators["closed"] = closed
+        evaluators["closed"] = point.closed_form(statistics)
     return evaluators
 
 
-def divergence_note(experiment: str, statistics: Statistics, point: dict) -> str | None:
-    if experiment == EXPERIMENT_FOCK and statistics is Statistics.FERMION:
-        case = fock_fermion_case(point["n1"], point["n2"], point["n3"])
-        if case in CROSS_CASES:
-            return (
-                f"closed-form cross term ({case}) uses +2*(min(n1,n2)-n3);"
-                " exact enumeration gives -(min(n1,n2)-n3)"
-            )
-    return None
-
-
 def evaluate_point(
-    experiment: str,
     statistics: Statistics,
-    point: dict,
+    point: Point,
     sa: complex,
     sb: complex,
     evaluators: dict[str, Evaluator],
@@ -410,7 +422,7 @@ def evaluate_point(
     if all_ok:
         status = STATUS_PASS
     else:
-        known = divergence_note(experiment, statistics, point)
+        known = point.divergence_note(statistics)
         if exact_ok and known is not None:
             status = STATUS_KNOWN
             note = known
@@ -418,13 +430,9 @@ def evaluate_point(
             status = STATUS_FAIL
             note = "engines disagree beyond tolerance"
     return VerificationRecord(
-        experiment=experiment,
+        experiment=point.experiment,
         statistics=statistics.value,
-        n1=point.get("n1"),
-        n2=point.get("n2"),
-        n3=point.get("n3"),
-        n=point_total(experiment, point),
-        epsilon=point.get("epsilon"),
+        point=point,
         sa=sa,
         sb=sb,
         values=values,
@@ -435,43 +443,41 @@ def evaluate_point(
 
 
 def grid_records(
-    grids: list[tuple[str, Statistics, list[dict]]],
+    grids: list[tuple[Statistics, list[Point]]],
     requested: tuple[str, ...] | None,
     pairs: tuple[tuple[complex, complex], ...],
     tolerance: float,
 ) -> list[VerificationRecord]:
-    """Walk (experiment, statistics, points) grids: one record per point and (sa, sb) pair.
+    """Walk (statistics, points) grids: one record per point and (sa, sb) pair.
 
     Each point's evaluators are built once and shared by its pairs.
     """
     cap = nmax_cap()
     records = []
-    for experiment, statistics, points in grids:
+    for statistics, points in grids:
         for point in points:
-            engines = engines_for(experiment, statistics, point, requested, cap)
-            evaluators = point_evaluators(experiment, statistics, point, engines)
+            engines = engines_for(statistics, point, requested, cap)
+            evaluators = point_evaluators(statistics, point, engines)
             for sa, sb in pairs:
-                records.append(
-                    evaluate_point(experiment, statistics, point, sa, sb, evaluators, tolerance)
-                )
+                records.append(evaluate_point(statistics, point, sa, sb, evaluators, tolerance))
     return records
 
 
 def run_records(cfg: RunConfig) -> list[VerificationRecord]:
-    grid = (cfg.experiment, cfg.statistics, cfg.points)
+    grid = (cfg.statistics, cfg.points)
     return grid_records([grid], cfg.engines, ((cfg.sa, cfg.sb),), cfg.tolerance)
 
 
 def _record_point(record: VerificationRecord) -> dict:
-    """The fields that open every serialized record: what was computed, and where."""
+    """The fields that open every serialized record: what was computed, and where.
+
+    A field the record's point does not have, and every field of a record
+    without one, is None.
+    """
     return {
         "experiment": record.experiment,
         "statistics": record.statistics,
-        "n1": record.n1,
-        "n2": record.n2,
-        "n3": record.n3,
-        "n": record.n,
-        "epsilon": record.epsilon,
+        **{key: getattr(record.point, key, None) for key in POINT_FIELDS},
         "sA": format_complex(record.sa),
         "sB": format_complex(record.sb),
     }
@@ -494,18 +500,13 @@ def _csv_cell(value) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    """CSV headed by the keys of the rows, which ``record_rows`` builds alike."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({key: _csv_cell(row[key]) for key in CSV_COLUMNS})
+        writer.writerow({key: _csv_cell(value) for key, value in row.items()})
     return buffer.getvalue()
-
-
-def _point_text(record: VerificationRecord) -> str:
-    if record.experiment == EXPERIMENT_FOCK:
-        return f"n1={record.n1} n2={record.n2} n3={record.n3}"
-    return f"n={record.n} eps={record.epsilon:g}"
 
 
 def text_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -532,7 +533,7 @@ def records_to_table(records: list[VerificationRecord]) -> str:
         row = [
             record.experiment,
             record.statistics,
-            _point_text(record),
+            record.point.text(),
             format_complex(record.sa),
             format_complex(record.sb),
         ]
@@ -573,8 +574,11 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _do_run(args: argparse.Namespace) -> int:
@@ -584,22 +588,25 @@ def _do_run(args: argparse.Namespace) -> int:
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
 
 
-def _check_fermion_destination(destination: ProductTerm) -> None:
-    """Reject a fermion destination that ``path_report`` cannot canonicalize.
+def _check_destination(destination: ProductTerm, statistics: Statistics) -> None:
+    """Reject a destination that ``path_report`` can never match or cannot canonicalize.
 
-    A destination with no q labels is a sector query and may repeat slots.
-    Any other must name each slot once and label all or none of each mode's
-    slots.
+    Bosonic slots carry no q label. A fermion destination with no q labels
+    is a sector query and may repeat slots. Any other must name each slot
+    once and label all or none of each mode's slots.
     """
-    if all(slot.q is None for slot in destination):
+    labelled = [slot for slot in destination if slot.q is not None]
+    if not labelled:
         return
+    if statistics is Statistics.BOSON:
+        raise UsageError(f"bosonic slots carry no q label, got {render_term(labelled[:1])}")
     seen = set()
     for slot in destination:
         if slot in seen:
             raise UsageError(f"fermion destination repeats {render_term((slot,))}")
         seen.add(slot)
-    labelled = {slot.mode for slot in destination if slot.q is not None}
-    mixed = sorted(labelled & {slot.mode for slot in destination if slot.q is None})
+    labelled_modes = {slot.mode for slot in labelled}
+    mixed = sorted(labelled_modes & {slot.mode for slot in destination if slot.q is None})
     if mixed:
         raise UsageError(
             f"fermion destination mixes labelled and unlabelled {mixed[0].label} slots"
@@ -613,17 +620,17 @@ def _do_paths(args: argparse.Namespace) -> int:
     if len(cfg.points) != 1:
         raise UsageError("paths needs a single parameter point, not a grid")
     point = cfg.points[0]
-    engines_for(cfg.experiment, cfg.statistics, point, ("firstq",), nmax_cap())
+    engines_for(cfg.statistics, point, ("firstq",), nmax_cap())
     try:
         destination = parse_term(args.destination)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    n = point_total(cfg.experiment, point)
-    if len(destination) != n:
-        raise UsageError(f"destination has {len(destination)} slots, state has {n} particles")
-    if cfg.statistics is Statistics.FERMION:
-        _check_fermion_destination(destination)
-    result = apply_first_order(_initial_first_quantized(cfg.experiment, cfg.statistics, point))
+    if len(destination) != point.n:
+        raise UsageError(
+            f"destination has {len(destination)} slots, state has {point.n} particles"
+        )
+    _check_destination(destination, cfg.statistics)
+    result = apply_first_order(point.first_quantized(cfg.statistics))
     payload = []
     for dest, paths in path_report(result, destination).items():
         total = result.final_state.terms.get(dest)
@@ -663,25 +670,22 @@ def _do_paths(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fock_grid(nmax: int) -> list[tuple[int, int, int]]:
-    grid = []
-    for n1 in range(1, nmax):
-        for n2 in range(1, nmax - n1 + 1):
-            for n3 in range(0, nmax - n1 - n2 + 1):
-                grid.append((n1, n2, n3))
-    return grid
+def _fock_grid(nmax: int) -> list[FockPoint]:
+    return [
+        FockPoint(n1, n2, n3)
+        for n1 in range(1, nmax)
+        for n2 in range(1, nmax - n1 + 1)
+        for n3 in range(0, nmax - n1 - n2 + 1)
+    ]
 
 
-def _identity_record(name: str, max_dev: float, tolerance: float, note: str) -> VerificationRecord:
-    status = STATUS_PASS if max_dev <= tolerance else STATUS_FAIL
+def _identity_record(name: str, max_dev: float, note: str) -> VerificationRecord:
+    """A closed-form identity, which holds when it deviates by at most 1e-12."""
+    status = STATUS_PASS if max_dev <= 1e-12 else STATUS_FAIL
     return VerificationRecord(
         experiment="identity",
         statistics=name,
-        n1=None,
-        n2=None,
-        n3=None,
-        n=None,
-        epsilon=None,
+        point=None,
         sa=0j,
         sb=0j,
         values={},
@@ -692,17 +696,14 @@ def _identity_record(name: str, max_dev: float, tolerance: float, note: str) -> 
 
 
 def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
-    def fock_points(n_top: int) -> list[dict]:
-        return [{"n1": n1, "n2": n2, "n3": n3} for n1, n2, n3 in _fock_grid(n_top)]
-
-    def coherent_points(n_top: int) -> list[dict]:
-        return [{"n": n, "epsilon": e} for n in range(2, n_top + 1) for e in VERIFY_EPSILONS]
+    def coherent_points(n_top: int) -> list[CoherentPoint]:
+        return [CoherentPoint(n, e) for n in range(2, n_top + 1) for e in VERIFY_EPSILONS]
 
     grids = [
-        (EXPERIMENT_FOCK, Statistics.BOSON, fock_points(nmax)),
-        (EXPERIMENT_FOCK, Statistics.FERMION, fock_points(min(nmax, 7))),
-        (EXPERIMENT_COHERENT, Statistics.BOSON, coherent_points(nmax)),
-        (EXPERIMENT_COHERENT, Statistics.FERMION, coherent_points(min(nmax, 6))),
+        (Statistics.BOSON, _fock_grid(nmax)),
+        (Statistics.FERMION, _fock_grid(min(nmax, 7))),
+        (Statistics.BOSON, coherent_points(nmax)),
+        (Statistics.FERMION, coherent_points(min(nmax, 6))),
     ]
     records = grid_records(grids, None, VERIFY_PAIRS, tolerance)
 
@@ -718,7 +719,6 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
         _identity_record(
             "fock-counting",
             max_dev,
-            1e-12,
             "sqrt(distinct_final_terms) * per_term_amplitude == sqrt(n1*n2*(n3+1)) for n <= 30",
         )
     )
@@ -736,7 +736,6 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
         _identity_record(
             "coherent-normalization",
             max_dev,
-            1e-12,
             "sum of group_terms * group_amplitude^2 over (m, k) equals 1 for n <= 20",
         )
     )
@@ -749,11 +748,7 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
             VerificationRecord(
                 experiment="identity",
                 statistics="coherent-gain",
-                n1=None,
-                n2=None,
-                n3=None,
-                n=n,
-                epsilon=0.2,
+                point=CoherentPoint(n, 0.2),
                 sa=0j,
                 sb=0j,
                 values={
@@ -795,9 +790,7 @@ def _do_verify(args: argparse.Namespace) -> int:
     out = pick("out") or "mixbench_verify.json"
 
     records = verify_records(tolerance, nmax)
-    counts = {STATUS_PASS: 0, STATUS_KNOWN: 0, STATUS_FAIL: 0}
-    for record in records:
-        counts[record.status] += 1
+    counts = Counter(record.status for record in records)
     report = {
         "tolerance": tolerance,
         "nmax": nmax,
@@ -809,9 +802,7 @@ def _do_verify(args: argparse.Namespace) -> int:
         },
         "records": [record_to_json_dict(r) for r in records],
     }
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    _write_output(json.dumps(report, indent=2) + "\n", out)
     print(
         f"checked {len(records)} records: {counts[STATUS_PASS]} pass,"
         f" {counts[STATUS_KNOWN]} known-divergence, {counts[STATUS_FAIL]} fail"
@@ -826,20 +817,10 @@ def _do_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--experiment", choices=(EXPERIMENT_FOCK, EXPERIMENT_COHERENT))
-    parser.add_argument("--statistics", choices=("boson", "fermion"))
-    parser.add_argument("--n1", help="phi-mode count (int, lo:hi or comma list)")
-    parser.add_argument("--n2", help="psi-mode count (int, lo:hi or comma list)")
-    parser.add_argument("--n3", help="seed v-mode count (int, lo:hi or comma list)")
-    parser.add_argument("--n", help="total particle count for type2")
-    parser.add_argument("--epsilon", help="v amplitude squared per particle for type2")
-    parser.add_argument("--sa", help="process A amplitude, a+bi form (default 1)")
-    parser.add_argument("--sb", help="process B amplitude, a+bi form (default 1)")
-    parser.add_argument("--engines", help="comma list from firstq, oracle, closed")
-    parser.add_argument("--format", dest="format", choices=("table", "csv", "json"))
-    parser.add_argument("--out", help="write the output to a file instead of stdout")
-    parser.add_argument("--tolerance", help="cross-engine comparison tolerance")
+def _add_point_arguments(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
+    for name, settings in RUN_FLAGS.items():
+        if name not in skip:
+            parser.add_argument(f"--{name}", **settings)
     parser.add_argument("--config", help="flat key = value config file; flags override")
 
 
@@ -857,17 +838,15 @@ def make_parser() -> argparse.ArgumentParser:
     _add_point_arguments(run_parser)
 
     paths_parser = sub.add_parser("paths", help="list scattering paths into one final term")
-    _add_point_arguments(paths_parser)
+    _add_point_arguments(paths_parser, skip=ENGINE_FLAGS)
     paths_parser.add_argument(
         "destination",
         help="final term, e.g. 'v v u' (fermions may omit q labels to aggregate)",
     )
 
     verify_parser = sub.add_parser("verify", help="run the cross-engine verification grid")
-    verify_parser.add_argument("--tolerance")
-    verify_parser.add_argument("--nmax")
-    verify_parser.add_argument("--out")
-    verify_parser.add_argument("--config")
+    for name in ("tolerance", "nmax", "out", "config"):
+        verify_parser.add_argument(f"--{name}")
 
     return parser
 

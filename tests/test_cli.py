@@ -13,7 +13,10 @@ from mixbench.states import Statistics, state_norm
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejecting the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -200,12 +203,22 @@ def test_config_file_with_cli_override(capsys, tmp_path):
         ("verify", "--nmax", "3", "--tolerance", "inf"),
         ("paths", "--experiment", "type1", "--statistics", "boson",
          "--n1", "1", "--n2", "1", "--n3", "0", "v u", "--format", "csv"),
+        ("run", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "1", "--n2", "1", "--n3", "0", "--out", "/nonexistent/dir/x"),
+        ("paths", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "1", "--n2", "1", "--n3", "0", "v u", "--out", "/nonexistent/dir/x"),
+        ("verify", "--nmax", "3", "--out", "/nonexistent/dir/x"),
+        ("paths", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "1", "--n2", "1", "--n3", "0", "v u", "--engines", "closed"),
+        ("paths", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "1", "--n2", "1", "--n3", "0", "v(1) u"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:")
+    # Our own checks print one error line; argparse prints its usage first.
+    assert err.startswith(("error:", "usage: mixbench"))
 
 
 @pytest.mark.parametrize(
@@ -245,17 +258,15 @@ SIGNED_ZERO_PAIRS = [
 
 
 @pytest.mark.parametrize(
-    "experiment,statistics,point",
+    "statistics,point",
     [
-        (cli.EXPERIMENT_FOCK, Statistics.BOSON, {"n1": 2, "n2": 3, "n3": 1}),
-        (cli.EXPERIMENT_FOCK, Statistics.FERMION, {"n1": 3, "n2": 2, "n3": 1}),
-        (cli.EXPERIMENT_COHERENT, Statistics.BOSON, {"n": 4, "epsilon": 0.2}),
-        (cli.EXPERIMENT_COHERENT, Statistics.FERMION, {"n": 4, "epsilon": 0.2}),
+        (Statistics.BOSON, cli.FockPoint(2, 3, 1)),
+        (Statistics.FERMION, cli.FockPoint(3, 2, 1)),
+        (Statistics.BOSON, cli.CoherentPoint(4, 0.2)),
+        (Statistics.FERMION, cli.CoherentPoint(4, 0.2)),
     ],
 )
-def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(
-    monkeypatch, experiment, statistics, point
-):
+def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, statistics, point):
     results = []
     scatter = cli.apply_first_order
 
@@ -265,12 +276,12 @@ def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(
         return result
 
     monkeypatch.setattr(cli, "apply_first_order", spy)
-    firstq = cli.point_evaluators(experiment, statistics, point, ("firstq",))["firstq"]
+    firstq = cli.point_evaluators(statistics, point, ("firstq",))["firstq"]
     gc.collect()
     assert [ref() for ref in results] == [None]  # the result, its state and sums are gone
     (pairs,) = firstq.args  # what the evaluator keeps: (ca, cb) pairs, no terms or forms
     assert all(type(ca) is complex and type(cb) is complex for ca, cb in pairs)
-    final = scatter(cli._initial_first_quantized(experiment, statistics, point)).final_state
+    final = scatter(point.first_quantized(statistics)).final_state
     for sa, sb in SIGNED_ZERO_PAIRS:
         assert firstq(sa, sb) == state_norm(final, sa, sb)
 
@@ -290,6 +301,27 @@ def test_unknown_config_key_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 2
     assert "mystery" in err
+
+
+def test_one_config_file_serves_run_and_verify(capsys, tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(
+        "experiment = type1\n"
+        "statistics = boson\n"
+        "n1 = 2\n"
+        "n2 = 1\n"
+        "n3 = 1\n"
+        "format = csv\n"
+        "nmax = 3\n"
+    )
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert {(row["n1"], row["n2"], row["n3"]) for row in csv_rows_typed(out)} == {(2, 1, 1)}
+
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--out", str(report_path))
+    assert (code, err) == (0, "")
+    assert json.loads(report_path.read_text())["nmax"] == 3
 
 
 def test_verify_rejects_unknown_config_key(capsys, tmp_path):

@@ -107,3 +107,46 @@ def imported_modules(tree: ast.Module) -> set[str]:
 def test_exact_routes_do_not_import_each_other(module, other):
     tree = ast.parse((ROOT / "src" / "mixbench" / f"{module}.py").read_text(encoding="utf-8"))
     assert other not in imported_modules(tree), f"{module}.py imports from {other}"
+
+
+def test_cli_decides_the_experiment_only_in_its_point_types():
+    """Only the point types know an experiment's fields; the rest of cli asks them.
+
+    No function outside a class takes an ``experiment`` argument, and no
+    point is read by a string key, as in ``point["n1"]`` or ``point.get("n")``.
+    """
+    tree = ast.parse((ROOT / "src" / "mixbench" / "cli.py").read_text(encoding="utf-8"))
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    takes_experiment = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and id(node) not in methods
+        and "experiment" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+    ]
+    assert takes_experiment == []
+
+    fields = {"n1", "n2", "n3", "n", "epsilon"}
+
+    def is_field(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and node.value in fields
+
+    keyed_reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Subscript) and is_field(node.slice))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+            and is_field(node.args[0])
+        )
+    ]
+    assert keyed_reads == [], f"cli.py reads a point by string key at lines {keyed_reads}"
