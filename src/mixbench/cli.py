@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import NamedTuple
 
@@ -25,7 +25,7 @@ from collections.abc import Callable
 # and json, by name on this module: call them through these globals, and
 # build no import-time table of them.
 from .amplitudes import approx_eq, format_complex, format_form, parse_complex
-from .engine import PathRecord, apply_first_order, path_report, path_to_dict
+from .engine import PROCESS_A, PathRecord, apply_first_order, path_report, sources_into
 from .formulas import (
     CROSS_CASES,
     coherent_amplitude,
@@ -269,11 +269,18 @@ _CONFIG_KEYS = {*RUN_FLAGS, "nmax"}
 
 
 def config_reader(args: argparse.Namespace) -> Callable[[str], str | None]:
-    """Look up a setting: its flag if given, else the --config file's value, else None."""
+    """Look up a setting: its flag if given, else the --config file's value, else None.
+
+    A key the command has no flag for is not one of its settings and reads
+    None, so one file can serve every command; ``paths`` ignores the file's
+    ``engines`` and ``tolerance`` as ``run`` ignores its ``nmax``.
+    """
     file_values = read_config_file(args.config) if args.config else {}
 
     def pick(key: str) -> str | None:
-        flag = getattr(args, key, None)
+        if not hasattr(args, key):
+            return None
+        flag = getattr(args, key)
         if flag is not None:
             return flag
         return file_values.get(key)
@@ -561,6 +568,53 @@ def render_path_table(paths: list[PathRecord]) -> str:
     return text_table(headers, rows)
 
 
+def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, complex]]) -> str:
+    """The listing as ``json.dumps(doc, indent=2) + "\\n"`` writes it, byte for byte.
+
+    ``doc`` holds one object per (destination, paths, total, value) entry.
+    The fixed schema is written from templates, because the indenting
+    encoder is pure Python; every string is quoted with ``json.dumps``, and
+    each distinct source term is rendered and quoted once per call.
+    """
+    quote = json.dumps
+    zero = quote("0")
+    source_text = cache(lambda term: quote(render_term(term)))
+    entries = []
+    for dest, paths, total, value in payload:
+        dest_text = quote(render_term(dest))  # also every path's destination
+        records = []
+        for p in paths:
+            amount = quote(format_complex(p.value))
+            ca, cb = (amount, zero) if p.process == PROCESS_A else (zero, amount)
+            records.append(
+                "      {\n"
+                f'        "source": {source_text(p.source_term)},\n'
+                f'        "process": {quote(p.process)},\n'
+                f'        "phi_slot": {p.phi_slot},\n'
+                f'        "psi_slot": {p.psi_slot},\n'
+                f'        "sign": {p.sign},\n'
+                '        "contribution": {\n'
+                f'          "c0": {zero},\n'
+                f'          "ca": {ca},\n'
+                f'          "cb": {cb}\n'
+                "        },\n"
+                f'        "destination": {dest_text}\n'
+                "      }"
+            )
+        listed = "[\n" + ",\n".join(records) + "\n    ]" if records else "[]"
+        entries.append(
+            "  {\n"
+            f'    "destination": {dest_text},\n'
+            f'    "paths": {listed},\n'
+            f'    "total": {quote(total)},\n'
+            f'    "value": {quote(format_complex(value))}\n'
+            "  }"
+        )
+    if not entries:
+        return "[]\n"
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
 def render_records(records: list[VerificationRecord], fmt: str) -> str:
     if fmt == "table":
         return records_to_table(records)
@@ -570,15 +624,20 @@ def render_records(records: list[VerificationRecord], fmt: str) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
+def _open_output(out: str):
+    """Open an --out file for writing; a path that cannot be written is a usage error."""
+    try:
+        return open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
+        with _open_output(out) as handle:
+            handle.write(text)
 
 
 def _do_run(args: argparse.Namespace) -> int:
@@ -630,7 +689,7 @@ def _do_paths(args: argparse.Namespace) -> int:
             f"destination has {len(destination)} slots, state has {point.n} particles"
         )
     _check_destination(destination, cfg.statistics)
-    result = apply_first_order(point.first_quantized(cfg.statistics))
+    result = apply_first_order(sources_into(point.first_quantized(cfg.statistics), destination))
     payload = []
     for dest, paths in path_report(result, destination).items():
         total = result.final_state.terms.get(dest)
@@ -640,16 +699,7 @@ def _do_paths(args: argparse.Namespace) -> int:
             payload.append((dest, paths, format_form(total), total.evaluate(cfg.sa, cfg.sb)))
 
     if cfg.fmt == "json":
-        doc = [
-            {
-                "destination": render_term(dest),
-                "paths": [path_to_dict(p) for p in paths],
-                "total": rendered,
-                "value": format_complex(value),
-            }
-            for dest, paths, rendered, value in payload
-        ]
-        _write_output(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _write_output(render_paths_json(payload), cfg.out)
         return 0
     lines = []
     total_paths = 0
@@ -789,20 +839,23 @@ def _do_verify(args: argparse.Namespace) -> int:
         )
     out = pick("out") or "mixbench_verify.json"
 
-    records = verify_records(tolerance, nmax)
-    counts = Counter(record.status for record in records)
-    report = {
-        "tolerance": tolerance,
-        "nmax": nmax,
-        "cap": nmax_cap(),
-        "counts": {
-            "pass": counts[STATUS_PASS],
-            "known_divergence": counts[STATUS_KNOWN],
-            "fail": counts[STATUS_FAIL],
-        },
-        "records": [record_to_json_dict(r) for r in records],
-    }
-    _write_output(json.dumps(report, indent=2) + "\n", out)
+    # Open the report first, so that a path that cannot be written is refused
+    # before the grid is computed.
+    with _open_output(out) as handle:
+        records = verify_records(tolerance, nmax)
+        counts = Counter(record.status for record in records)
+        report = {
+            "tolerance": tolerance,
+            "nmax": nmax,
+            "cap": nmax_cap(),
+            "counts": {
+                "pass": counts[STATUS_PASS],
+                "known_divergence": counts[STATUS_KNOWN],
+                "fail": counts[STATUS_FAIL],
+            },
+            "records": [record_to_json_dict(r) for r in records],
+        }
+        handle.write(json.dumps(report, indent=2) + "\n")
     print(
         f"checked {len(records)} records: {counts[STATUS_PASS]} pass,"
         f" {counts[STATUS_KNOWN]} known-divergence, {counts[STATUS_FAIL]} fail"

@@ -32,21 +32,29 @@ The scattered norm is ``state_norm(result.final_state, sa, sb)``, and
 without building the final state.
 ``path_report`` owns which paths a ``paths`` request shows and in what
 order: it canonicalizes the destination, widens an unlabelled fermion
-destination to its sector, and sorts the paths.
+destination to its sector, and sorts the paths.  ``sources_into`` keeps
+only the terms whose paths can land in a destination's sector: every path
+moves one phi and one psi particle to v and u, so a path out of sector
+(phi, psi, v, u) lands in (phi - 1, psi - 1, v + 1, u + 1) and no other
+term adds a path or a coefficient there.  The kept terms stay in their
+stored order, so each destination of that sector receives the same
+contributions in the same order, and its sum is bit-identical to the one
+the whole state's scatter gives.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from cmath import isfinite
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
-from .amplitudes import AmplitudeForm, ensure_finite, format_complex
+from .amplitudes import AmplitudeForm, ensure_finite
 from .states import (
     ManyBodyState,
     Mode,
     ProductTerm,
+    SectorSpec,
     SingleParticleState,
     Statistics,
     canonical_fermion_term,
@@ -62,7 +70,7 @@ __all__ = [
     "ScatterResult",
     "apply_first_order",
     "path_report",
-    "path_to_dict",
+    "sources_into",
 ]
 
 PROCESS_A = "A"
@@ -311,6 +319,20 @@ def _fermion_destination(
     return dest, -1 if crossings % 2 else 1
 
 
+def sources_into(state: ManyBodyState, destination: ProductTerm) -> ManyBodyState:
+    """The terms of the state whose paths can land in the destination's sector.
+
+    A path takes one phi and one psi particle to v and u, so only a term
+    with one more phi and psi particle, and one fewer v and u particle,
+    than the destination can reach it.  The kept terms stay in their stored
+    order; a destination with no v or no u particle keeps none.
+    """
+    phi, psi, v, u = sector_of(destination)
+    wanted = SectorSpec(phi + 1, psi + 1, v - 1, u - 1)
+    kept = {term: form for term, form in state.terms.items() if sector_of(term) == wanted}
+    return ManyBodyState(state.statistics, state.n, kept)
+
+
 def path_report(
     result: ScatterResult, destination: ProductTerm
 ) -> dict[ProductTerm, list[PathRecord]]:
@@ -335,25 +357,11 @@ def path_report(
         ) or [destination]
     else:
         matches = [canonical_fermion_term(destination)[0]]
+    text = cache(render_term)  # each source rendered once per call
     return {
         dest: sorted(
             by_destination.get(dest, ()),
-            key=lambda p: (render_term(p.source_term), p.process, p.phi_slot, p.psi_slot),
+            key=lambda p: (text(p.source_term), p.process, p.phi_slot, p.psi_slot),
         )
         for dest in matches
-    }
-
-
-def path_to_dict(path: PathRecord) -> dict:
-    # The contribution is the value in the process's component, 0 elsewhere.
-    value = format_complex(path.value)
-    ca, cb = (value, "0") if path.process == PROCESS_A else ("0", value)
-    return {
-        "source": render_term(path.source_term),
-        "process": path.process,
-        "phi_slot": path.phi_slot,
-        "psi_slot": path.psi_slot,
-        "sign": path.sign,
-        "contribution": {"c0": "0", "ca": ca, "cb": cb},
-        "destination": render_term(path.destination_term),
     }

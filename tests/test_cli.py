@@ -8,8 +8,19 @@ import weakref
 import pytest
 
 from mixbench import cli
-from mixbench.cli import main
-from mixbench.states import Statistics, state_norm
+from mixbench.amplitudes import format_complex, format_form, parse_complex
+from mixbench.cli import main, render_path_table
+from mixbench.engine import PROCESS_A, apply_first_order, path_report
+from mixbench.states import (
+    Mode,
+    SingleParticleState,
+    Statistics,
+    coherent_initial_state,
+    fock_initial_state,
+    parse_term,
+    render_term,
+    state_norm,
+)
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +297,24 @@ def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, statis
         assert firstq(sa, sb) == state_norm(final, sa, sb)
 
 
+def test_one_config_file_serves_run_and_paths(capsys, tmp_path):
+    point = "experiment = type1\nstatistics = boson\nn1 = 2\nn2 = 1\nn3 = 1\n"
+    plain, shared = tmp_path / "plain.cfg", tmp_path / "shared.cfg"
+    plain.write_text(point)
+    shared.write_text(point + "engines = closed\ntolerance = 1e-6\n")
+    run = run_cli(capsys, "run", "--config", str(shared))
+    assert run == run_cli(
+        capsys, "run", "--config", str(plain), "--engines", "closed", "--tolerance", "1e-6"
+    )
+    assert run[0] == 0 and "firstq" not in run[1]
+    expected = run_cli(capsys, "paths", "--config", str(plain), "phi v v u")
+    assert expected[0] == 0 and "paths: 4" in expected[1]
+    assert run_cli(capsys, "paths", "--config", str(shared), "phi v v u") == expected
+    # paths neither parses nor checks the two keys: values run rejects are ignored too.
+    shared.write_text(point + "engines = guess\ntolerance = nan\n")
+    assert run_cli(capsys, "paths", "--config", str(shared), "phi v v u") == expected
+
+
 def test_paths_rejects_csv_format(capsys):
     code, out, err = run_cli(
         capsys, "paths", "--experiment", "type1", "--statistics", "boson",
@@ -334,6 +363,18 @@ def test_verify_rejects_unknown_config_key(capsys, tmp_path):
     assert out == ""
     assert "unknown config keys: bogus" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_refuses_an_unwritable_out_before_computing(capsys, tmp_path, monkeypatch):
+    def grid(*args):
+        raise AssertionError("verify computed its grid before opening --out")
+
+    monkeypatch.setattr(cli, "verify_records", grid)
+    out = tmp_path / "missing" / "report.json"
+    code, stdout, err = run_cli(capsys, "verify", "--nmax", "3", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_refuses_nmax_above_its_grids(capsys, tmp_path):
@@ -557,3 +598,103 @@ def test_verify_report_is_deterministic(capsys, tmp_path):
     code2, _, _ = run_cli(capsys, "verify", "--nmax", "3", "--out", str(second))
     assert code1 == code2 == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# -- the paths JSON listing against json.dumps of reference dicts --------------
+
+
+def path_to_dict(path):
+    """Reference: one path record as the JSON listing holds it."""
+    # The contribution is the value in the process's component, 0 elsewhere.
+    value = format_complex(path.value)
+    ca, cb = (value, "0") if path.process == PROCESS_A else ("0", value)
+    return {
+        "source": render_term(path.source_term),
+        "process": path.process,
+        "phi_slot": path.phi_slot,
+        "psi_slot": path.psi_slot,
+        "sign": path.sign,
+        "contribution": {"c0": "0", "ca": ca, "cb": cb},
+        "destination": render_term(path.destination_term),
+    }
+
+
+def b(*modes):
+    return tuple(SingleParticleState(m) for m in modes)
+
+
+def test_path_records_carry_provenance():
+    result = apply_first_order(fock_initial_state(1, 1, 0, Statistics.BOSON))
+    v_u = b(Mode.V, Mode.U)
+    paths = path_report(result, v_u)[v_u]
+    assert len(paths) == 2
+    by_process = {p.process: p for p in paths}
+    a = by_process[PROCESS_A]
+    assert a.source_term == b(Mode.PHI, Mode.PSI)
+    assert (a.phi_slot, a.psi_slot) == (0, 1)
+    assert a.sign == 1
+    assert a.contribution.ca == pytest.approx(1 / math.sqrt(2))
+    d = path_to_dict(a)
+    assert d["process"] == "A"
+    assert d["destination"] == "v u"
+    table = render_path_table(paths)
+    assert "phi psi" in table and "A" in table
+
+
+@pytest.mark.parametrize(
+    "state,flags,destination",
+    [
+        pytest.param(
+            fock_initial_state(2, 2, 1, Statistics.BOSON),
+            ["--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",
+             "--n3", "1"],
+            "psi phi v u v",
+            id="boson-type1",
+        ),
+        pytest.param(
+            fock_initial_state(3, 2, 1, Statistics.FERMION),
+            ["--experiment", "type1", "--statistics", "fermion", "--n1", "3", "--n2", "2",
+             "--n3", "1"],
+            "v(3) phi(2) phi(1) psi(2) v(1) u(1)",
+            id="fermion-labelled",
+        ),
+        pytest.param(
+            fock_initial_state(1, 1, 1, Statistics.FERMION),
+            ["--experiment", "type1", "--statistics", "fermion", "--n1", "1", "--n2", "1",
+             "--n3", "1"],
+            "v v u",
+            id="fermion-blocked",
+        ),
+        pytest.param(
+            coherent_initial_state(5, 0.2, Statistics.FERMION),
+            ["--experiment", "type2", "--statistics", "fermion", "--n", "5", "--epsilon", "0.2"],
+            "phi psi v v u",
+            id="fermion-sector",
+        ),
+    ],
+)
+def test_paths_json_is_json_dumps_of_the_reference(capsys, state, flags, destination):
+    sa, sb = "0.3-0.1i", "-0.7+0.2i"
+    code, out, err = run_cli(
+        capsys, "paths", *flags, f"--sa={sa}", f"--sb={sb}", destination, "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    # The reference scatters the whole state and serializes with the indenting encoder.
+    result = apply_first_order(state)
+    doc = []
+    for dest, paths in path_report(result, parse_term(destination)).items():
+        form = result.final_state.terms.get(dest)
+        value = 0j if form is None else form.evaluate(parse_complex(sa), parse_complex(sb))
+        doc.append(
+            {
+                "destination": render_term(dest),
+                "paths": [path_to_dict(p) for p in paths],
+                "total": "0" if form is None else format_form(form),
+                "value": format_complex(value),
+            }
+        )
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_paths_json_writes_an_empty_listing_as_json_dumps_does():
+    assert cli.render_paths_json([]) == json.dumps([], indent=2) + "\n"

@@ -5,13 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixbench.amplitudes import AmplitudeForm
-from mixbench.cli import render_path_table
 from mixbench.engine import (
     PROCESS_A,
     PROCESS_B,
     apply_first_order,
     path_report,
-    path_to_dict,
+    sources_into,
 )
 from mixbench.states import (
     ManyBodyState,
@@ -128,23 +127,6 @@ def test_rejects_already_scattered_state():
         apply_first_order(once)
 
 
-def test_path_records_carry_provenance():
-    result = apply_first_order(fock_initial_state(1, 1, 0, Statistics.BOSON))
-    paths = path_report(result, b(V, U))[b(V, U)]
-    assert len(paths) == 2
-    by_process = {p.process: p for p in paths}
-    a = by_process[PROCESS_A]
-    assert a.source_term == b(PHI, PSI)
-    assert (a.phi_slot, a.psi_slot) == (0, 1)
-    assert a.sign == 1
-    assert a.contribution.ca == pytest.approx(1 / math.sqrt(2))
-    d = path_to_dict(a)
-    assert d["process"] == "A"
-    assert d["destination"] == "v u"
-    table = render_path_table(paths)
-    assert "phi psi" in table and "A" in table
-
-
 def test_path_report_canonicalizes_fermion_destination():
     result = apply_first_order(fock_initial_state(2, 1, 0, Statistics.FERMION))
     # query in scrambled slot order; the report must find the sorted key
@@ -167,6 +149,77 @@ def test_path_report_widens_an_unlabelled_fermion_destination_to_its_sector():
     # every path into the sector is Pauli blocked: the query maps to no paths
     blocked = apply_first_order(fock_initial_state(1, 1, 1, Statistics.FERMION))
     assert path_report(blocked, b(V, V, U)) == {b(V, V, U): []}
+
+
+def _small_states():
+    """Every Fock point with n <= 5 and the coherent states n = 2..5, eps 0 and 0.2."""
+    for statistics in Statistics:
+        for n in range(2, 6):
+            for n1 in range(1, n):
+                for n2 in range(1, n - n1 + 1):
+                    point = (n1, n2, n - n1 - n2)
+                    yield pytest.param(
+                        fock_initial_state(*point, statistics), id=f"{statistics.value}-{point}"
+                    )
+            for epsilon in (0.0, 0.2):
+                yield pytest.param(
+                    coherent_initial_state(n, epsilon, statistics),
+                    id=f"{statistics.value}-n{n}-eps{epsilon}",
+                )
+
+
+def _sectors(n):
+    return [
+        (n_phi, n_psi, n_v, n - n_phi - n_psi - n_v)
+        for n_phi in range(n + 1)
+        for n_psi in range(n - n_phi + 1)
+        for n_v in range(n - n_phi - n_psi + 1)
+    ]
+
+
+@pytest.mark.parametrize("state", _small_states())
+def test_scattering_only_the_sources_of_a_sector_gives_the_same_report(state):
+    full = apply_first_order(state)
+    forms = full.final_state.terms
+    for n_phi, n_psi, n_v, n_u in _sectors(state.n):
+        modes = (PHI,) * n_phi + (PSI,) * n_psi + (V,) * n_v + (U,) * n_u
+        unlabelled = b(*modes)
+        destinations = [unlabelled]
+        if state.statistics is Statistics.FERMION:
+            matched = list(path_report(full, unlabelled))
+            # The first and last labelled destination, each queried in reversed slot order.
+            ends = dict.fromkeys((matched[0], matched[-1]))
+            destinations += [dest[::-1] for dest in ends if dest != unlabelled]
+        source_sector = SectorSpec(n_phi + 1, n_psi + 1, n_v - 1, n_u - 1)
+        for destination in destinations:
+            sources = sources_into(state, destination)
+            assert {sector_of(term) for term in sources.terms} <= {source_sector}
+            kept = apply_first_order(sources)
+            report = path_report(kept, destination)
+            assert report == path_report(full, destination)
+            for dest in report:
+                assert repr(kept.final_state.terms.get(dest)) == repr(forms.get(dest))
+
+
+def test_a_blocked_or_unreachable_sector_keeps_no_path():
+    blocked = fock_initial_state(1, 1, 1, Statistics.FERMION)
+    unreachable = fock_initial_state(2, 1, 1, Statistics.BOSON)
+    for state, destination in ((blocked, b(V, V, U)), (unreachable, b(PHI, PSI, V, V))):
+        result = apply_first_order(sources_into(state, destination))
+        assert path_report(result, destination) == {destination: []}
+        assert destination not in result.final_state.terms  # the listing's total is "0"
+    assert sources_into(unreachable, b(PHI, PSI, V, V)).terms == {}
+
+
+def test_sources_into_pins_the_size_of_the_benchmark_listing():
+    # The paths_provenance point: type2 fermion, n = 8, eps = 0.2.
+    state = coherent_initial_state(8, 0.2, Statistics.FERMION)
+    sources = sources_into(state, parse_term("phi phi psi psi v v v u"))
+    assert len(sources.terms) == 560
+    kept = apply_first_order(sources)
+    assert (len(kept.paths), len(kept.final_state.terms)) == (10_080, 1_680)
+    full = apply_first_order(state)
+    assert (len(full.paths), len(full.final_state.terms)) == (81_648, 16_472)
 
 
 def test_sector_amplitude_splits_the_norm():

@@ -55,6 +55,11 @@ CASES = [
          "--n3", "1", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "phi psi v v u"],
     ),
     (
+        "type1_paths_boson.json",
+        ["paths", "--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",
+         "--n3", "1", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "phi psi v v u", "--format", "json"],
+    ),
+    (
         "type1_paths_fermion.txt",
         ["paths", "--experiment", "type1", "--statistics", "fermion", "--n1", "3", "--n2", "2",
          "--n3", "1", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "phi phi psi v v u"],
