@@ -7,6 +7,7 @@ engines disagree unexpectedly, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -39,6 +40,7 @@ from .oracle import (
     apply_fwm_operator,
     coherent_occupation_state,
     fock_occupation_state,
+    from_first_quantized,
     oracle_scattered_norm,
 )
 from .states import (
@@ -386,14 +388,23 @@ def point_evaluators(
     The first-quantized scattering is applied once here, without per-path
     records, and only its (ca, cb) pairs are kept: no final state is built.
     Evaluating them at concrete amplitudes is cheap, so sweeping several
-    (sa, sb) pairs per point reuses the expensive part.
+    (sa, sb) pairs per point reuses the expensive part.  A fermion point's
+    first-quantized state is built once: the oracle reads its Slater keys
+    through ``from_first_quantized``.
     """
+    fermionic = statistics is Statistics.FERMION
+    first_quantized = None
+    if "firstq" in engines or (fermionic and "oracle" in engines):
+        first_quantized = point.first_quantized(statistics)
     evaluators: dict[str, Evaluator] = {}
     if "firstq" in engines:
-        pairs = apply_first_order(point.first_quantized(statistics), paths=False).coefficients
+        pairs = apply_first_order(first_quantized, paths=False).coefficients
         evaluators["firstq"] = partial(coefficient_norm, pairs)
     if "oracle" in engines:
-        initial = point.occupation(statistics)
+        if fermionic:
+            initial = from_first_quantized(first_quantized)
+        else:
+            initial = point.occupation(statistics)
 
         def oracle(sa: complex, sb: complex) -> float:
             return oracle_scattered_norm(apply_fwm_operator(initial, sa, sb))
@@ -404,6 +415,13 @@ def point_evaluators(
     return evaluators
 
 
+def _overflow_error(point: Point, sa: complex, sb: complex) -> UsageError:
+    return UsageError(
+        f"--sa/--sb too large: sA={format_complex(sa)}, sB={format_complex(sb)}"
+        f" overflow the amplitude at {point.text()}"
+    )
+
+
 def evaluate_point(
     statistics: Statistics,
     point: Point,
@@ -412,7 +430,13 @@ def evaluate_point(
     evaluators: dict[str, Evaluator],
     tolerance: float,
 ) -> VerificationRecord:
-    values = {engine: evaluate(sa, sb) for engine, evaluate in evaluators.items()}
+    try:
+        values = {engine: evaluate(sa, sb) for engine, evaluate in evaluators.items()}
+        finite = all(math.isfinite(value) for value in values.values())
+    except OverflowError:  # squaring a finite float past the largest one
+        finite = False
+    if not finite:
+        raise _overflow_error(point, sa, sb)
     names = sorted(values)
     max_dev = 0.0
     exact_ok = True
@@ -696,7 +720,10 @@ def _do_paths(args: argparse.Namespace) -> int:
         if total is None:
             payload.append((dest, paths, "0", 0j))
         else:
-            payload.append((dest, paths, format_form(total), total.evaluate(cfg.sa, cfg.sb)))
+            value = total.evaluate(cfg.sa, cfg.sb)
+            if not cmath.isfinite(value):
+                raise _overflow_error(point, cfg.sa, cfg.sb)
+            payload.append((dest, paths, format_form(total), value))
 
     if cfg.fmt == "json":
         _write_output(render_paths_json(payload), cfg.out)

@@ -12,20 +12,26 @@ with ``width`` one more than the largest q of the state.  A bosonic term is
 one int, its slot codes packed in base ``4 * width`` with slot 0 as the
 most significant digit, so numeric order is canonical term order; a path
 adds a fixed lift per slot to it and builds no key tuple.  A fermionic term
-stays a tuple of codes.  Its source key is sorted, so its phi slots come
-first and the two new states only move to the right.  Each destination key
-is made once: the new states are inserted into the kept slots by
-bisection, and the sign is the parity of the slots they cross, flipped
-once more if the pair swaps order.  The loop leaves one ``[ca, cb, key]``
-sum per destination key.  ``ScatterResult.coefficients`` reads the pruned
-pairs from these sums in canonical order; ``final_state`` decodes each key
-to its slots and builds one validated form per final term only when it is
-first read.  With ``paths=True`` (the default) a path is kept as a plain
-tuple of ints, its value and its destination's sum; its ``PathRecord`` is
-built when ``ScatterResult.paths`` is first read, and its own form only
-when its ``contribution`` is read.  With ``paths=False`` the loop keeps no
-record at all, for callers such as ``run`` and ``verify`` that need only
-the coefficients.
+is an int bitmask: code c is bit ``4 * width - 1 - c``, so the lowest code
+is the highest bit and descending masks are ascending Slater keys.  A path
+clears the phi and psi bits and sets the new v and u bits, which is one
+fixed lift per slot again.  Its sign is the first-quantized one: the parity
+of the kept slots strictly between each old code and its new code, plus
+one crossing when the new pair lands in swapped order, which process B
+always does and process A never does.  Each slot's count is taken once per
+term from the whole mask, and a path adds its two slots' parities.  The
+loop leaves one ``[ca, cb, key]`` sum per destination key.
+``ScatterResult.coefficients`` reads the pruned pairs from these sums in
+canonical order; ``final_state`` decodes each key to its slots and builds
+one validated form per final term only when it is first read.  With
+``paths=True`` (the default) a path is kept as a plain tuple of ints, its
+value and its destination's sum; its ``PathRecord`` is built when
+``ScatterResult.paths`` is first read, and its own form only when its
+``contribution`` is read.  With ``paths=False`` the loop keeps no record at
+all, for callers such as ``run`` and ``verify`` that need only the
+coefficients.  ``oracle`` also codes fermions as bitmasks, but ranks and
+signs them with its own ladder-operator loop; the two routes share no
+scattering code, so each checks the other.
 
 The scattered norm is ``state_norm(result.final_state, sa, sb)``, and
 ``coefficient_norm(result.coefficients, sa, sb)`` gives the same float
@@ -44,7 +50,6 @@ the whole state's scatter gives.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from cmath import isfinite
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -58,7 +63,6 @@ from .states import (
     SingleParticleState,
     Statistics,
     canonical_fermion_term,
-    is_canonical_fermion_term,
     render_term,
     sector_of,
 )
@@ -110,9 +114,10 @@ class ScatterResult:
     """The scattered state and the provenance of every path into it.
 
     The scatter leaves one ``[ca, cb, key]`` sum per destination, keyed by
-    its packed int (bosons) or code tuple (fermions); either way the keys
-    order as the canonical terms do.  ``coefficients`` reads the pruned
-    ``(ca, cb)`` pairs from these sums and builds no term or form.
+    an int: the packed codes of a bosonic term, whose ascending order is
+    canonical term order, or the bitmask of a fermionic one, whose
+    descending order is.  ``coefficients`` reads the pruned ``(ca, cb)``
+    pairs from these sums in that order and builds no term or form.
     ``final_state`` is built on its first read: it decodes every key to its
     term, builds one validated form per final term and drops the sums.
 
@@ -128,7 +133,7 @@ class ScatterResult:
         self,
         source: ManyBodyState,
         records: list[tuple] | None,
-        sums: dict[int | tuple[int, ...], list],
+        sums: dict[int, list],
         width: int,
     ) -> None:
         self._source = source
@@ -136,6 +141,8 @@ class ScatterResult:
         self._sums = sums
         self._width = width
         self._decoded = False
+        # Descending fermion masks are ascending Slater keys.
+        self._descending = source.statistics is Statistics.FERMION
 
     @property
     def coefficients(self) -> list[tuple[complex, complex]]:
@@ -147,7 +154,7 @@ class ScatterResult:
         if "final_state" in self.__dict__:
             return [(form.ca, form.cb) for form in self.final_state.terms.values()]
         pairs = []
-        for key in sorted(self._sums):
+        for key in sorted(self._sums, reverse=self._descending):
             ca, cb, _ = self._sums[key]
             if ca != 0 or cb != 0:
                 if not (isfinite(ca) and isfinite(cb)):
@@ -160,7 +167,7 @@ class ScatterResult:
     def final_state(self) -> ManyBodyState:
         self._decode()
         sums, final = self._sums, {}
-        for key in sorted(sums):
+        for key in sorted(sums, reverse=self._descending):
             ca, cb, term = sums[key]
             if ca != 0 or cb != 0:
                 final[term] = AmplitudeForm(ca=ca, cb=cb)
@@ -193,9 +200,16 @@ class ScatterResult:
             SingleParticleState(Mode(code // width), code % width or None)
             for code in range(4 * width)
         ]
-        if self._source.statistics is Statistics.FERMION:
+        if self._descending:
+            # Highest bit first: that is the lowest code, as in a Slater key.
+            top = 4 * width - 1
             for total in self._sums.values():
-                total[2] = tuple([table[code] for code in total[2]])
+                mask, term = total[2], []
+                while mask:
+                    bit = mask.bit_length() - 1
+                    term.append(table[top - bit])
+                    mask ^= 1 << bit
+                total[2] = tuple(term)
         else:
             base, n = 4 * width, self._source.n
             for total in self._sums.values():
@@ -215,13 +229,16 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     nothing) when the destination single-particle state is already occupied
     in the source term.  Bosonic paths are never blocked.  Each
     destination's ca and cb are summed in path order; the final state lists
-    the destinations in canonical term order, exact zeros pruned.
+    the destinations in canonical term order, exact zeros pruned.  A
+    fermionic key that is not canonical, or whose q labels are not ints
+    >= 1, raises ``ValueError``.
 
     ``paths=False`` keeps no per-path record; the final state is the same,
     bit for bit.  Reading ``.paths`` on such a result then re-runs this
     scatter once with records.
     """
-    fermionic = state.statistics is Statistics.FERMION
+    if state.statistics is Statistics.FERMION:
+        return _scatter_fermions(state, paths)
     width = 1 + max((slot.q or 0 for term in state.terms for slot in term), default=0)
     to_v, to_u = 2 * width, 3 * width  # codes of v(0) and u(0)
     # Process A takes phi (code q) to v(q) and psi (code width + q) to u(q),
@@ -243,31 +260,7 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
         phis = [i for i, code in enumerate(codes) if code < width]
         psis = [j for j, code in enumerate(codes) if width <= code < to_v]
         # Bosonic values are 1 * c0; the product is kept for its signed zeros.
-        plus, minus = 1 * form.c0, -1 * form.c0
-        if fermionic:
-            key = tuple(codes)
-            if not is_canonical_fermion_term(key):
-                raise ValueError("fermionic state keys must be canonical")
-            occupied = set(key)
-            for i in phis:
-                for j in psis:
-                    moves = ((0, key[i] + to_v, key[j] + to_v), (1, key[i] + to_u, key[j] + width))
-                    for component, new_i, new_j in moves:
-                        # The two fresh states occupy different modes, so
-                        # they never collide with each other.
-                        if new_i in occupied or new_j in occupied:
-                            continue
-                        dest, sign = _fermion_destination(key, i, j, new_i, new_j)
-                        value = plus if sign > 0 else minus
-                        total = get(dest)
-                        if total is None:
-                            total = sums[dest] = [0j, 0j, dest]
-                            total[component] = value
-                        else:
-                            total[component] += value
-                        if paths:
-                            records.append((index, component, i, j, sign, value, total))
-            continue
+        plus = 1 * form.c0
         packed = 0
         for code in codes:
             packed = packed * base + code
@@ -294,29 +287,103 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     return ScatterResult(state, records, sums, width)
 
 
-def _fermion_destination(
-    term: tuple[int, ...],
-    i: int,
-    j: int,
-    new_i: int,
-    new_j: int,
-) -> tuple[tuple[int, ...], int]:
-    """Sorted key and parity of a sorted term whose slots i < j take new states.
+def _scatter_fermions(state: ManyBodyState, paths: bool) -> ScatterResult:
+    """The fermionic scatter on bitmask keys: slot code c is bit ``4 * width - 1 - c``.
 
-    Every slot before i or j sorts below the v and u states, so each new
-    state moves right across the kept slots up to its bisection point; the
-    pair itself adds one more crossing when it ends up in swapped order.
+    The sign of a path is the parity of the kept slots strictly between each
+    old code and its new one, plus one crossing when the new pair lands in
+    swapped order: process B always swaps it (u(q) above v(q')), process A
+    never does.  Each slot's count is taken once per term against the whole
+    key.  Of the moved pair, only the psi slot lies in such a range, in the
+    phi slot's, so a path's parity is the sum of its two slots' counts, less
+    one in both processes, plus one in B.  The moved flags are disjoint from
+    the kept ones, so a destination is the source mask plus one lift per slot.
     """
-    kept = term[:i] + term[i + 1 : j] + term[j + 1 :]
-    at_i = bisect_left(kept, new_i)
-    at_j = bisect_left(kept, new_j)
-    crossings = (at_i - i) + (at_j - (j - 1))
-    if new_i < new_j:
-        dest = kept[:at_i] + (new_i,) + kept[at_i:at_j] + (new_j,) + kept[at_j:]
-    else:
-        crossings += 1
-        dest = kept[:at_j] + (new_j,) + kept[at_j:at_i] + (new_i,) + kept[at_i:]
-    return dest, -1 if crossings % 2 else 1
+    slots = {slot for term in state.terms for slot in term}
+    for slot in slots:
+        if not isinstance(slot.q, int) or slot.q < 1:
+            raise ValueError("fermionic state keys must be canonical")
+    width = 1 + max((slot.q for slot in slots), default=0)
+    top = 4 * width - 1
+    flag = [1 << (top - code) for code in range(4 * width)]
+
+    def move(code: int, target: int) -> tuple[int, int, int]:
+        """The target's flag, the lift from the code's flag to it, and the codes between."""
+        return flag[target], flag[target] - flag[code], (flag[code] - 1) ^ ((flag[target] << 1) - 1)
+
+    # Per phi or psi code, its move in process A and then in B: phi(q) goes
+    # to v(q) in A and u(q) in B; psi(q') goes to u(q') in A and v(q') in B.
+    moves = [
+        move(code, code + 2 * width) + move(code, code + (3 if code < width else 1) * width)
+        for code in range(2 * width)
+    ]
+    records: list[tuple] | None = [] if paths else None
+    sums: dict = {}  # destination mask -> [ca, cb, mask], summed in path order
+    get = sums.get
+    for index, (term, form) in enumerate(state.terms.items()):
+        if form.ca != 0 or form.cb != 0:
+            raise ValueError("state was already scattered; the event applies only once")
+        codes = [mode * width + q for mode, q in term]
+        mask = 0
+        for code in codes:
+            mask |= flag[code]
+        # A Slater key lists distinct slots in increasing code order.
+        if mask.bit_count() != len(codes) or sorted(codes) != codes:
+            raise ValueError("fermionic state keys must be canonical")
+        # Each value is +-1 * c0; the product is kept for its signed zeros.
+        even, odd = (1, 1 * form.c0), (-1, -1 * form.c0)
+        # A phi slot holds, per process, its start (mask plus its lift) and
+        # the (sign, value) picked by the psi slot's parity; a psi slot holds
+        # its lift and parity.  A start or lift is None where the target is
+        # occupied, which blocks every path of that process through the slot.
+        phis, psis = [], []
+        for at, code in enumerate(codes):
+            if code >= 2 * width:
+                break
+            target_a, lift_a, between_a, target_b, lift_b, between_b = moves[code]
+            parity_a = (mask & between_a).bit_count() & 1
+            parity_b = (mask & between_b).bit_count() & 1
+            if code < width:
+                # phi's count holds the psi slot, which both processes take
+                # off; B's swap puts one crossing back.
+                phis.append((
+                    at,
+                    None if mask & target_a else mask + lift_a,
+                    (even, odd) if parity_a else (odd, even),
+                    None if mask & target_b else mask + lift_b,
+                    (odd, even) if parity_b else (even, odd),
+                ))
+            else:
+                psis.append((
+                    at,
+                    None if mask & target_a else lift_a,
+                    parity_a,
+                    None if mask & target_b else lift_b,
+                    parity_b,
+                ))
+        for i, start_a, pick_a, start_b, pick_b in phis:
+            for j, lift_a, parity_a, lift_b, parity_b in psis:
+                if start_a is not None and lift_a is not None:
+                    dest = start_a + lift_a
+                    sign, value = pick_a[parity_a]
+                    total = get(dest)
+                    if total is None:
+                        total = sums[dest] = [value, 0j, dest]
+                    else:
+                        total[0] += value
+                    if paths:
+                        records.append((index, 0, i, j, sign, value, total))
+                if start_b is not None and lift_b is not None:
+                    dest = start_b + lift_b
+                    sign, value = pick_b[parity_b]
+                    total = get(dest)
+                    if total is None:
+                        total = sums[dest] = [0j, value, dest]
+                    else:
+                        total[1] += value
+                    if paths:
+                        records.append((index, 1, i, j, sign, value, total))
+    return ScatterResult(state, records, sums, width)
 
 
 def sources_into(state: ManyBodyState, destination: ProductTerm) -> ManyBodyState:

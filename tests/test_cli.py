@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from mixbench import cli
+from mixbench import cli, oracle
 from mixbench.amplitudes import format_complex, format_form, parse_complex
 from mixbench.cli import main, render_path_table
 from mixbench.engine import PROCESS_A, apply_first_order, path_report
@@ -472,6 +472,64 @@ def test_invalid_cap_environment_exits_two(capsys, monkeypatch):
     )
     assert code == 2
     assert "MIXBENCH_NMAX_CAP" in err
+
+
+BOSON_221 = ("--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",
+             "--n3", "1")
+
+
+@pytest.mark.parametrize("engines", [(), ("--engines", "oracle")])
+@pytest.mark.parametrize("pair", [("--sa=1e308", "--sb=1e308"), ("--sa=1e154",)])
+def test_run_refuses_an_amplitude_that_overflows(capsys, engines, pair):
+    # Once an OverflowError traceback with exit 1, or, from the oracle
+    # alone, an amplitude of nan with status pass.
+    code, out, err = run_cli(capsys, "run", *BOSON_221, *pair, *engines)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --sa/--sb too large: sA=1e+")
+    assert err.endswith(" overflow the amplitude at n1=2 n2=2 n3=1\n")
+    assert err.count("\n") == 1
+
+
+def test_paths_refuses_a_total_that_overflows(capsys):
+    code, out, err = run_cli(
+        capsys, "paths", "--experiment", "type1", "--statistics", "fermion",
+        "--n1", "1", "--n2", "1", "--n3", "0", "--sa=1e308", "--sb=-1e308", "v(1) u(1)",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --sa/--sb too large: sA=1e+308, sB=-1e+308 overflow the amplitude"
+        " at n1=1 n2=1 n3=0\n"
+    )
+
+
+@pytest.mark.parametrize("engines", [(), ("--engines", "oracle")])
+def test_run_keeps_large_finite_amplitudes(capsys, engines):
+    code, out, _ = run_cli(
+        capsys, "run", *BOSON_221, "--sa=1e100", "--sb=1e100", "--format", "csv", *engines
+    )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == (1 if engines else 3)
+    for row in rows:
+        assert row.startswith("type1,boson,2,2,1,5,,1e+100,1e+100,")
+        assert row.endswith(",5.656854249492381e+100")
+
+
+@pytest.mark.parametrize("point", [cli.FockPoint(3, 2, 1), cli.CoherentPoint(4, 0.2)])
+def test_a_fermion_point_builds_one_first_quantized_state(monkeypatch, point):
+    builds = []
+    for module in (cli, oracle):
+        for name in ("fock_initial_state", "coherent_initial_state"):
+            def counted(*args, build=getattr(module, name)):
+                builds.append(args)
+                return build(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    evaluators = cli.point_evaluators(Statistics.FERMION, point, ("firstq", "oracle"))
+    assert builds == [(*point, Statistics.FERMION)]
+    assert evaluators["oracle"](1, 1) == pytest.approx(evaluators["firstq"](1, 1), abs=1e-12)
 
 
 def test_paths_boson_worked_example(capsys):

@@ -559,3 +559,15 @@ def test_rejects_fermion_key_with_a_repeated_slot():
     repeated = f((PHI, 1), (PHI, 1), (PSI, 1))
     with pytest.raises(ValueError, match="canonical"):
         apply_first_order(ManyBodyState(Statistics.FERMION, 3, {repeated: one}))
+
+
+@pytest.mark.parametrize("q", [None, 0, -1])
+def test_rejects_a_fermion_q_label_that_is_not_an_int_from_one(q):
+    # Once accepted: phi(0) psi(0) scattered to v(None) u(None), and
+    # phi(-1) psi(1) to the Pauli-violating v(1) v(1).
+    one = AmplitudeForm.constant(1.0)
+    for psi_q in (q, 1):
+        key = (SingleParticleState(PHI, q), SingleParticleState(PSI, psi_q))
+        for terms in ({key: one}, {f((PHI, 1), (PSI, 2)): one, key: one}):
+            with pytest.raises(ValueError, match="^fermionic state keys must be canonical$"):
+                apply_first_order(ManyBodyState(Statistics.FERMION, 2, terms), paths=False)

@@ -315,6 +315,8 @@ def test_apply_fwm_operator_rejects_scattered_input(statistics, key, form):
         pytest.param(3, f((PHI, 1), (PHI, 1), (PSI, 2)), id="repeated-slot"),
         pytest.param(2, f((PSI, 2), (PHI, 1)), id="unsorted"),
         pytest.param(2, (SingleParticleState(PHI), SingleParticleState(PSI, 1)), id="q-none"),
+        pytest.param(2, f((PHI, 0), (PSI, 1)), id="q-zero"),
+        pytest.param(2, f((PHI, -1), (PSI, 1)), id="q-negative"),
         pytest.param(3, f((PHI, 1), (PSI, 2)), id="short-key"),
     ],
 )
