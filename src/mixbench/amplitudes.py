@@ -1,4 +1,4 @@
-"""Complex scalars that stay linear in the two pair-scattering amplitudes."""
+"""The scattered coefficient form ``ca*sa + cb*sb`` and the ``a+bi`` text of complex numbers."""
 
 from __future__ import annotations
 
@@ -26,67 +26,29 @@ def ensure_finite(value: complex, what: str = "value") -> complex:
 
 @dataclass(frozen=True, slots=True)
 class AmplitudeForm:
-    """Scalar of the shape ``c0 + ca*sa + cb*sb``.
+    """A scattered coefficient of the shape ``ca*sa + cb*sb``.
 
     ``sa`` is the amplitude of the pair process sending phi->v, psi->u and
     ``sb`` the amplitude of the exchanged process phi->u, psi->v.  Only one
-    scattering event is ever applied, so no products of the two amplitudes
-    arise and the form is closed under addition and scalar multiplication.
+    scattering event is ever applied, so a scattered coefficient is linear
+    in the two amplitudes and has no constant part; an unscattered state
+    holds plain complex numbers instead.
     """
 
-    c0: complex = 0j
     ca: complex = 0j
     cb: complex = 0j
 
     def __post_init__(self) -> None:
-        c0, ca, cb = complex(self.c0), complex(self.ca), complex(self.cb)
-        if not (cmath.isfinite(c0) and cmath.isfinite(ca) and cmath.isfinite(cb)):
+        ca, cb = complex(self.ca), complex(self.cb)
+        if not (cmath.isfinite(ca) and cmath.isfinite(cb)):
             # Raise the message of the first field that is not finite.
-            ensure_finite(c0, "c0")
             ensure_finite(ca, "ca")
             ensure_finite(cb, "cb")
-        object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "ca", ca)
         object.__setattr__(self, "cb", cb)
 
-    @classmethod
-    def constant(cls, value: complex) -> "AmplitudeForm":
-        return cls(c0=complex(value))
-
-    @classmethod
-    def process_a(cls, value: complex) -> "AmplitudeForm":
-        return cls(ca=complex(value))
-
-    @classmethod
-    def process_b(cls, value: complex) -> "AmplitudeForm":
-        return cls(cb=complex(value))
-
-    def __add__(self, other: "AmplitudeForm") -> "AmplitudeForm":
-        if not isinstance(other, AmplitudeForm):
-            return NotImplemented
-        return AmplitudeForm(self.c0 + other.c0, self.ca + other.ca, self.cb + other.cb)
-
-    def __sub__(self, other: "AmplitudeForm") -> "AmplitudeForm":
-        if not isinstance(other, AmplitudeForm):
-            return NotImplemented
-        return AmplitudeForm(self.c0 - other.c0, self.ca - other.ca, self.cb - other.cb)
-
-    def scaled(self, factor: complex) -> "AmplitudeForm":
-        f = complex(factor)
-        return AmplitudeForm(self.c0 * f, self.ca * f, self.cb * f)
-
     def evaluate(self, sa: complex, sb: complex) -> complex:
-        return self.c0 + self.ca * complex(sa) + self.cb * complex(sb)
-
-    def is_zero(self) -> bool:
-        # Exact comparison on purpose: pruning must never hide a small but
-        # genuine interference residue.
-        return self.c0 == 0 and self.ca == 0 and self.cb == 0
-
-    def constant_value(self) -> complex:
-        if self.ca != 0 or self.cb != 0:
-            raise ValueError("form still depends on the scattering amplitudes")
-        return self.c0
+        return self.ca * complex(sa) + self.cb * complex(sb)
 
 
 def approx_eq(a: complex, b: complex, tol: float) -> bool:
@@ -152,8 +114,6 @@ def parse_complex(text: str) -> complex:
 def format_form(form: AmplitudeForm) -> str:
     """Render a form as e.g. ``0.5*sa + 0.5*sb`` for tables and reports."""
     parts = []
-    if form.c0 != 0:
-        parts.append(_wrap(format_complex(form.c0)))
     if form.ca != 0:
         parts.append(f"{_wrap(format_complex(form.ca))}*sa")
     if form.cb != 0:

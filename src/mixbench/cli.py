@@ -131,7 +131,9 @@ def parse_int_grid(text: str, name: str) -> tuple[int, ...]:
 
 def parse_float_grid(text: str, name: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        # + 0.0 turns -0.0 into 0.0, so -0 runs and prints as the point 0;
+        # every other value keeps its bits.
+        return tuple(float(part) + 0.0 for part in text.split(","))
     except ValueError:
         raise UsageError(f"--{name} expects a real number or a comma list, got {text!r}") from None
 
@@ -598,7 +600,9 @@ def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, co
     ``doc`` holds one object per (destination, paths, total, value) entry.
     The fixed schema is written from templates, because the indenting
     encoder is pure Python; every string is quoted with ``json.dumps``, and
-    each distinct source term is rendered and quoted once per call.
+    each distinct source term is rendered and quoted once per call.  A
+    contribution keeps its schema's constant slot ``"c0": "0"``, which
+    readers of the listing parse.
     """
     quote = json.dumps
     zero = quote("0")

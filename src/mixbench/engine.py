@@ -21,9 +21,15 @@ one crossing when the new pair lands in swapped order, which process B
 always does and process A never does.  Each slot's count is taken once per
 term from the whole mask, and a path adds its two slots' parities.  The
 loop leaves one ``[ca, cb, key]`` sum per destination key.
-``ScatterResult.coefficients`` reads the pruned pairs from these sums in
-canonical order; ``final_state`` decodes each key to its slots and builds
-one validated form per final term only when it is first read.  With
+
+The source state holds plain complex coefficients and the result holds
+``(ca, cb)`` pairs: ca collects process A's paths and cb process B's, so a
+final coefficient is ``ca*sa + cb*sb``.  ``ScatterResult.coefficients``
+reads the pruned pairs from the sums in canonical order; ``final_state``
+decodes each key to its slots and builds a ``ScatteredState`` of one
+validated ``AmplitudeForm`` per final term only when it is first read.
+Scattering a scattered state fails with ``TypeError``: a path multiplies
+its source coefficient by its sign, and a form is no number.  With
 ``paths=True`` (the default) a path is kept as a plain tuple of ints, its
 value and its destination's sum; its ``PathRecord`` is built when
 ``ScatterResult.paths`` is first read, and its own form only when its
@@ -33,9 +39,8 @@ coefficients.  ``oracle`` also codes fermions as bitmasks, but ranks and
 signs them with its own ladder-operator loop; the two routes share no
 scattering code, so each checks the other.
 
-The scattered norm is ``state_norm(result.final_state, sa, sb)``, and
-``coefficient_norm(result.coefficients, sa, sb)`` gives the same float
-without building the final state.
+The scattered norm is ``coefficient_norm(result.coefficients, sa, sb)``,
+which builds no final state.
 ``path_report`` owns which paths a ``paths`` request shows and in what
 order: it canonicalizes the destination, widens an unlabelled fermion
 destination to its sector, and sorts the paths.  ``sources_into`` keeps
@@ -51,6 +56,7 @@ the whole state's scatter gives.
 from __future__ import annotations
 
 from cmath import isfinite
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -72,6 +78,7 @@ __all__ = [
     "PROCESS_B",
     "PathRecord",
     "ScatterResult",
+    "ScatteredState",
     "apply_first_order",
     "path_report",
     "sources_into",
@@ -106,12 +113,25 @@ class PathRecord(NamedTuple):
     @property
     def contribution(self) -> AmplitudeForm:
         if self.process == PROCESS_A:
-            return AmplitudeForm.process_a(self.value)
-        return AmplitudeForm.process_b(self.value)
+            return AmplitudeForm(ca=self.value)
+        return AmplitudeForm(cb=self.value)
+
+
+@dataclass(frozen=True)
+class ScatteredState:
+    """Sparse map from product terms to the ``(ca, cb)`` forms of a scattered state.
+
+    Terms are in canonical order, and a term whose ca and cb are both exact
+    zeros is not stored.
+    """
+
+    statistics: Statistics
+    n: int
+    terms: dict[ProductTerm, AmplitudeForm]
 
 
 class ScatterResult:
-    """The scattered state and the provenance of every path into it.
+    """The scattered ``(ca, cb)`` coefficients and the provenance of every path into them.
 
     The scatter leaves one ``[ca, cb, key]`` sum per destination, keyed by
     an int: the packed codes of a bosonic term, whose ascending order is
@@ -119,7 +139,8 @@ class ScatterResult:
     descending order is.  ``coefficients`` reads the pruned ``(ca, cb)``
     pairs from these sums in that order and builds no term or form.
     ``final_state`` is built on its first read: it decodes every key to its
-    term, builds one validated form per final term and drops the sums.
+    term, builds a ``ScatteredState`` of one validated form per final term
+    and drops the sums.
 
     A result built with records holds each path as a compact tuple
     ``(source index, component, phi slot, psi slot, sign, value, sum)``;
@@ -164,7 +185,7 @@ class ScatterResult:
         return pairs
 
     @cached_property
-    def final_state(self) -> ManyBodyState:
+    def final_state(self) -> ScatteredState:
         self._decode()
         sums, final = self._sums, {}
         for key in sorted(sums, reverse=self._descending):
@@ -172,7 +193,7 @@ class ScatterResult:
             if ca != 0 or cb != 0:
                 final[term] = AmplitudeForm(ca=ca, cb=cb)
         del self._sums
-        return ManyBodyState(self._source.statistics, self._source.n, final)
+        return ScatteredState(self._source.statistics, self._source.n, final)
 
     @cached_property
     def paths(self) -> tuple[PathRecord, ...]:
@@ -253,14 +274,12 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     records: list[tuple] | None = [] if paths else None
     sums: dict = {}  # destination key -> [ca, cb, key], summed in path order
     get = sums.get
-    for index, (term, form) in enumerate(state.terms.items()):
-        if form.ca != 0 or form.cb != 0:
-            raise ValueError("state was already scattered; the event applies only once")
+    for index, (term, coeff) in enumerate(state.terms.items()):
         codes = [mode * width + (q or 0) for mode, q in term]
         phis = [i for i, code in enumerate(codes) if code < width]
         psis = [j for j, code in enumerate(codes) if width <= code < to_v]
-        # Bosonic values are 1 * c0; the product is kept for its signed zeros.
-        plus = 1 * form.c0
+        # Bosonic values are 1 * coeff; the product is kept for its signed zeros.
+        plus = 1 * coeff
         packed = 0
         for code in codes:
             packed = packed * base + code
@@ -320,9 +339,7 @@ def _scatter_fermions(state: ManyBodyState, paths: bool) -> ScatterResult:
     records: list[tuple] | None = [] if paths else None
     sums: dict = {}  # destination mask -> [ca, cb, mask], summed in path order
     get = sums.get
-    for index, (term, form) in enumerate(state.terms.items()):
-        if form.ca != 0 or form.cb != 0:
-            raise ValueError("state was already scattered; the event applies only once")
+    for index, (term, coeff) in enumerate(state.terms.items()):
         codes = [mode * width + q for mode, q in term]
         mask = 0
         for code in codes:
@@ -330,8 +347,8 @@ def _scatter_fermions(state: ManyBodyState, paths: bool) -> ScatterResult:
         # A Slater key lists distinct slots in increasing code order.
         if mask.bit_count() != len(codes) or sorted(codes) != codes:
             raise ValueError("fermionic state keys must be canonical")
-        # Each value is +-1 * c0; the product is kept for its signed zeros.
-        even, odd = (1, 1 * form.c0), (-1, -1 * form.c0)
+        # Each value is +-1 * coeff; the product is kept for its signed zeros.
+        even, odd = (1, 1 * coeff), (-1, -1 * coeff)
         # A phi slot holds, per process, its start (mask plus its lift) and
         # the (sign, value) picked by the psi slot's parity; a psi slot holds
         # its lift and parity.  A start or lift is None where the target is
@@ -396,7 +413,7 @@ def sources_into(state: ManyBodyState, destination: ProductTerm) -> ManyBodyStat
     """
     phi, psi, v, u = sector_of(destination)
     wanted = SectorSpec(phi + 1, psi + 1, v - 1, u - 1)
-    kept = {term: form for term, form in state.terms.items() if sector_of(term) == wanted}
+    kept = {term: value for term, value in state.terms.items() if sector_of(term) == wanted}
     return ManyBodyState(state.statistics, state.n, kept)
 
 

@@ -11,9 +11,12 @@ Inside ``apply_fwm_operator`` a fermionic key is an int bitmask.  Each call
 ranks the slots it can touch by (mode, q) and gives the slot of rank r bit
 K-1-r of K, so descending masks are ascending Slater keys.  A ladder step
 on the slot at bit b is a bit test and a flip, and its sign is the parity
-of the occupied slots above it, ``(mask >> b).bit_count()``.  The result
-keeps one complex sum per mask; its ``terms`` decode the masks and build
-the forms only when read, and ``oracle_scattered_norm`` reads the sums.
+of the occupied slots above it, ``(mask >> b).bit_count()``.
+
+The oracle applies the event at concrete amplitudes ``sa`` and ``sb``, so
+both its input and its scattered output hold plain complex coefficients.
+The result keeps one complex sum per mask; its ``terms`` decode the masks
+only when read, and ``oracle_scattered_norm`` reads the sums.
 
 Both fermionic occupation inputs, Fock and coherent, are the
 first-quantized states read through ``from_first_quantized``: their Slater
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .amplitudes import AmplitudeForm
 from .states import (
     ManyBodyState,
     Mode,
@@ -39,6 +41,7 @@ from .states import (
     coherent_initial_state,
     fock_initial_state,
     is_canonical_fermion_term,
+    l2_norm,
     sector_of,
     validate_coherent_point,
     validate_fock_point,
@@ -61,11 +64,11 @@ OccupationKey = Union[BosonOccupation, FermionOccupation]
 
 @dataclass(frozen=True)
 class OccupationState:
-    """Sparse map from occupation keys to amplitude forms."""
+    """Sparse map from occupation keys to complex coefficients."""
 
     statistics: Statistics
     n: int
-    terms: dict[OccupationKey, AmplitudeForm]
+    terms: dict[OccupationKey, complex]
 
 
 def from_first_quantized(state: ManyBodyState) -> OccupationState:
@@ -77,34 +80,33 @@ def from_first_quantized(state: ManyBodyState) -> OccupationState:
     occupation keys and the coefficients carry over unchanged.
     """
     if state.statistics is Statistics.FERMION:
-        terms: dict[OccupationKey, AmplitudeForm] = {}
-        for term, form in state.terms.items():
+        terms: dict[OccupationKey, complex] = {}
+        for term, value in state.terms.items():
             if not is_canonical_fermion_term(term):
                 raise ValueError("fermionic state keys must be canonical")
-            terms[term] = form
+            terms[term] = value
         return OccupationState(Statistics.FERMION, state.n, terms)
 
-    groups: dict[BosonOccupation, list[AmplitudeForm]] = {}
-    for term, form in state.terms.items():
+    groups: dict[BosonOccupation, list[complex]] = {}
+    for term, value in state.terms.items():
         occ = tuple(sector_of(term))
-        groups.setdefault(occ, []).append(form)
+        groups.setdefault(occ, []).append(value)
     terms = {}
     n_fact = math.factorial(state.n)
-    for occ, forms in sorted(groups.items()):
-        representative = forms[0]
-        scale = max(1.0, abs(representative.c0), abs(representative.ca), abs(representative.cb))
+    for occ, values in sorted(groups.items()):
+        representative = values[0]
+        scale = max(1.0, abs(representative))
         multiplicity = n_fact
         for count in occ:
             multiplicity //= math.factorial(count)
-        # Symmetric: every ordering of the occupation is stored, all with one form.
-        if len(forms) != multiplicity or any(
-            max(abs(d.c0), abs(d.ca), abs(d.cb)) > 1e-12 * scale
-            for d in (form - representative for form in forms[1:])
+        # Symmetric: every ordering of the occupation is stored, all with one value.
+        if len(values) != multiplicity or any(
+            abs(value - representative) > 1e-12 * scale for value in values[1:]
         ):
             raise StatisticsMismatchError(
                 "state is not permutation symmetric; occupation map undefined"
             )
-        terms[occ] = representative.scaled(math.sqrt(multiplicity))
+        terms[occ] = representative * complex(math.sqrt(multiplicity))
     return OccupationState(Statistics.BOSON, state.n, terms)
 
 
@@ -119,8 +121,7 @@ def fock_occupation_state(
     if statistics is Statistics.FERMION:
         return from_first_quantized(fock_initial_state(n1, n2, n3, statistics))
     validate_fock_point(n1, n2, n3)
-    one = AmplitudeForm.constant(1.0)
-    return OccupationState(statistics, n1 + n2 + n3, {(n1, n2, n3, 0): one})
+    return OccupationState(statistics, n1 + n2 + n3, {(n1, n2, n3, 0): 1 + 0j})
 
 
 def coherent_occupation_state(
@@ -136,7 +137,7 @@ def coherent_occupation_state(
     validate_coherent_point(n, epsilon)
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
-    terms: dict[OccupationKey, AmplitudeForm] = {}
+    terms: dict[OccupationKey, complex] = {}
     for m in range(n + 1):
         for k in range(n - m + 1):
             j = n - m - k
@@ -144,7 +145,7 @@ def coherent_occupation_state(
             if coeff == 0.0:
                 continue
             count = math.comb(n, m) * math.comb(n - m, k)
-            terms[(m, k, j, 0)] = AmplitudeForm.constant(coeff * math.sqrt(count))
+            terms[(m, k, j, 0)] = complex(coeff * math.sqrt(count))
     return OccupationState(statistics, n, terms)
 
 
@@ -153,9 +154,10 @@ class ScatteredOccupation:
 
     ``sums`` lists ``(key, total)`` in canonical key order with exact zeros
     pruned.  A bosonic key is the occupation tuple itself; a fermionic key is
-    an int bitmask whose bit ``b`` stands for ``slots[b]``.  ``terms`` decodes
-    every key to its occupation key and builds one constant form per key on
-    its first read; ``oracle_scattered_norm`` reads ``sums`` and builds none.
+    an int bitmask whose bit ``b`` stands for ``slots[b]``.  Each total is
+    the complex coefficient at the ``sa`` and ``sb`` the operator was
+    applied with.  ``terms`` decodes every key to its occupation key on its
+    first read; ``oracle_scattered_norm`` reads ``sums`` and decodes none.
     """
 
     def __init__(
@@ -167,10 +169,10 @@ class ScatteredOccupation:
         self._slots = slots
 
     @cached_property
-    def terms(self) -> dict[OccupationKey, AmplitudeForm]:
+    def terms(self) -> dict[OccupationKey, complex]:
         slots = self._slots
         if slots is None:
-            return {key: AmplitudeForm.constant(total) for key, total in self.sums}
+            return dict(self.sums)
         terms = {}
         for mask, total in self.sums:
             # Highest bit first: that is the lowest (mode, q), as in a Slater key.
@@ -179,7 +181,7 @@ class ScatteredOccupation:
                 bit = mask.bit_length() - 1
                 key.append(slots[bit])
                 mask ^= 1 << bit
-            terms[tuple(key)] = AmplitudeForm.constant(total)
+            terms[tuple(key)] = total
         return terms
 
 
@@ -204,16 +206,14 @@ def apply_fwm_operator(
     not a canonical Slater key of n slots, with q labels that are ints
     >= 1, raises ``ValueError``.
 
-    The input must be unscattered: each coefficient is read as a constant.
     Every key sums its contributions as one complex number in path order;
     the result holds the sums in canonical key order, exact zeros pruned,
-    and builds forms only when its ``terms`` are read.
+    and decodes its keys only when its ``terms`` are read.
     """
     if state.statistics is Statistics.BOSON:
         merged: dict[BosonOccupation, complex] = {}
         vertex = complex(sa) + complex(sb)
-        for occ, form in state.terms.items():
-            value = form.constant_value()
+        for occ, value in state.terms.items():
             n_phi, n_psi, n_v, n_u = occ
             if n_phi < 1 or n_psi < 1:
                 continue
@@ -232,8 +232,7 @@ def apply_fwm_operator(
     plus_b, minus_b = 1 * complex(sb), -1 * complex(sb)
     merged_masks: dict[int, complex] = {}
     get = merged_masks.get
-    for occ, form in state.terms.items():
-        value = form.constant_value()
+    for occ, value in state.terms.items():
         if len(occ) != state.n:
             raise ValueError("fermionic state keys must be canonical")
         # Encode the key; a canonical key's bits strictly decrease.
@@ -319,7 +318,4 @@ def _rank_slots(state: OccupationState) -> tuple[tuple[SingleParticleState, ...]
 
 def oracle_scattered_norm(result: ScatteredOccupation) -> float:
     """Plain l2 norm of a scattered occupation state, read from its sums."""
-    total = 0.0
-    for _, value in result.sums:
-        total += abs(value) ** 2
-    return math.sqrt(total)
+    return l2_norm(total for _, total in result.sums)

@@ -7,10 +7,13 @@ Slater basis: every key is the slot list sorted by (mode rank, q) and the
 parity of the sorting permutation is folded into the coefficient, which
 keeps term identity collision-free without expanding n! permutations.
 
-Distinct stored terms are orthonormal for both statistics, so
-``state_norm`` is the plain l2 norm of the evaluated coefficients, and
-``coefficient_norm`` is the same loop over a scattered state's
-``(ca, cb)`` pairs.  The input checks of the two experiments,
+Every coefficient here is a plain complex number: these are the states
+before the scattering event.  A scattered state, whose coefficients are
+``(ca, cb)`` pairs linear in the two process amplitudes, is built only by
+``engine``.  Distinct stored terms are orthonormal for both statistics, so
+``state_norm`` is the plain l2 norm of the coefficients, and
+``coefficient_norm`` is the same loop over a scattered state's ``(ca, cb)``
+pairs evaluated at ``(sa, sb)``.  The input checks of the two experiments,
 ``validate_fock_point`` and ``validate_coherent_point``, live here and
 every route calls them.
 """
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-from .amplitudes import AmplitudeForm
 
 __all__ = [
     "ManyBodyState",
@@ -41,6 +42,7 @@ __all__ = [
     "coherent_initial_state",
     "fock_initial_state",
     "is_canonical_fermion_term",
+    "l2_norm",
     "make_state",
     "parse_term",
     "permute_slots",
@@ -164,37 +166,38 @@ def is_canonical_fermion_term(term: ProductTerm) -> bool:
 
 @dataclass(frozen=True)
 class ManyBodyState:
-    """Sparse map from product terms to amplitude forms.
+    """Sparse map from product terms to complex coefficients, before scattering.
 
     Treat instances as immutable; all operations return new states.  Terms
-    whose coefficient is the exact zero form are never stored.
+    whose coefficient is an exact zero are never stored.
     """
 
     statistics: Statistics
     n: int
-    terms: dict[ProductTerm, AmplitudeForm]
+    terms: dict[ProductTerm, complex]
 
 
 def make_state(
     statistics: Statistics,
     n: int,
-    entries: Iterable[tuple[ProductTerm, AmplitudeForm]],
+    entries: Iterable[tuple[ProductTerm, complex]],
 ) -> ManyBodyState:
-    """Validate and merge (term, form) entries into a state, canonicalizing fermion keys."""
-    merged: dict[ProductTerm, AmplitudeForm] = {}
-    for term, form in entries:
+    """Validate and merge (term, value) entries into a state, canonicalizing fermion keys."""
+    merged: dict[ProductTerm, complex] = {}
+    for term, value in entries:
         if len(term) != n:
             raise ValueError(f"term has {len(term)} slots, expected {n}")
         validate_term(term, statistics)
+        value = complex(value)
         if statistics is Statistics.FERMION:
             term, sign = canonical_fermion_term(term)
             if sign < 0:
-                form = form.scaled(-1)
+                value = value * complex(-1)
         if term in merged:
-            merged[term] = merged[term] + form
+            merged[term] = merged[term] + value
         else:
-            merged[term] = form
-    pruned = {term: form for term, form in merged.items() if not form.is_zero()}
+            merged[term] = value
+    pruned = {term: value for term, value in merged.items() if value != 0}
     return ManyBodyState(statistics, n, dict(sorted(pruned.items())))
 
 
@@ -208,8 +211,8 @@ def symmetrize(term: ProductTerm) -> ManyBodyState:
     """
     validate_term(term, Statistics.BOSON)
     distinct = list(_multiset_permutations(sorted(term)))
-    form = AmplitudeForm.constant(1.0 / math.sqrt(len(distinct)))
-    return ManyBodyState(Statistics.BOSON, len(term), dict.fromkeys(distinct, form))
+    value = complex(1.0 / math.sqrt(len(distinct)))
+    return ManyBodyState(Statistics.BOSON, len(term), dict.fromkeys(distinct, value))
 
 
 def _multiset_permutations(items: list) -> Iterator[tuple]:
@@ -242,7 +245,7 @@ def antisymmetrize(term: ProductTerm) -> ManyBodyState:
     in storage it collapses to the single sorted key with the sorting
     parity folded in.
     """
-    return make_state(Statistics.FERMION, len(term), [(term, AmplitudeForm.constant(1.0))])
+    return make_state(Statistics.FERMION, len(term), [(term, 1.0)])
 
 
 def validate_fock_point(n1: int, n2: int, n3: int) -> None:
@@ -298,31 +301,31 @@ def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> Ma
     order, so its sorting permutation is the stable sort of the assignment
     by mode rank: the sign is the parity of the assignment's inversions,
     the pairs of slots i < j where slot i holds the higher-ranked mode.
-    All terms with the same (m, k, sign) share one coefficient form.
+    All terms with the same (m, k, sign) share one coefficient.
     """
     validate_coherent_point(n, epsilon)
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
-    forms: dict[tuple[int, int, int], AmplitudeForm | None] = {}
+    values: dict[tuple[int, int, int], complex | None] = {}
 
-    def form_of(m: int, k: int, sign: int) -> AmplitudeForm | None:
+    def value_of(m: int, k: int, sign: int) -> complex | None:
         """Shared coefficient of the (m, k, sign) terms; None for an exact zero."""
         key = (m, k, sign)
-        if key not in forms:
+        if key not in values:
             # Power form keyed on counts so every term of one (m, k) group
             # gets a bit-identical coefficient.
             coeff = w_in ** (m + k) * w_seed ** (n - m - k)
-            forms[key] = None if coeff == 0.0 else AmplitudeForm.constant(sign * coeff)
-        return forms[key]
+            values[key] = None if coeff == 0.0 else complex(sign * coeff)
+        return values[key]
 
     modes = (Mode.PHI, Mode.PSI, Mode.V)
-    terms: dict[ProductTerm, AmplitudeForm] = {}
+    terms: dict[ProductTerm, complex] = {}
     if statistics is Statistics.BOSON:
         phi, psi, v = (SingleParticleState(mode) for mode in modes)
         for term in product((phi, psi, v), repeat=n):
-            form = form_of(term.count(phi), term.count(psi), 1)
-            if form is not None:
-                terms[term] = form
+            value = value_of(term.count(phi), term.count(psi), 1)
+            if value is not None:
+                terms[term] = value
     else:
         # slots[i][r]: particle i (q = i + 1) in the mode of rank r.
         slots = [tuple(SingleParticleState(mode, i + 1) for mode in modes) for i in range(n)]
@@ -335,29 +338,26 @@ def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> Ma
                 for higher in by_mode[rank + 1 :]:
                     inversions += len(higher)
             phis, psis, vs = by_mode
-            form = form_of(len(phis), len(psis), -1 if inversions % 2 else 1)
-            if form is not None:
-                terms[tuple(phis + psis + vs)] = form
+            value = value_of(len(phis), len(psis), -1 if inversions % 2 else 1)
+            if value is not None:
+                terms[tuple(phis + psis + vs)] = value
     return ManyBodyState(statistics, n, dict(sorted(terms.items())))
 
 
-def state_norm(state: ManyBodyState, sa: complex = 0j, sb: complex = 0j) -> float:
-    return _l2_norm(form.evaluate(sa, sb) for form in state.terms.values())
+def state_norm(state: ManyBodyState) -> float:
+    """Norm of an unscattered state: the l2 norm of its coefficients."""
+    return l2_norm(state.terms.values())
 
 
 def coefficient_norm(
     pairs: Iterable[tuple[complex, complex]], sa: complex = 0j, sb: complex = 0j
 ) -> float:
-    """``state_norm`` of a scattered state from its ``(ca, cb)`` pairs, bit for bit.
-
-    A scattered form has c0 = 0, and dropping ``0 +`` from its evaluation
-    changes at most the sign of a zero, which ``abs`` ignores.
-    """
+    """Norm of a scattered state from its ``(ca, cb)`` pairs evaluated at ``(sa, sb)``."""
     sa, sb = complex(sa), complex(sb)
-    return _l2_norm(ca * sa + cb * sb for ca, cb in pairs)
+    return l2_norm(ca * sa + cb * sb for ca, cb in pairs)
 
 
-def _l2_norm(values: Iterable[complex]) -> float:
+def l2_norm(values: Iterable[complex]) -> float:
     """The one norm loop: sqrt of the sum of |value|^2, in iteration order."""
     total = 0.0
     for value in values:
@@ -374,7 +374,7 @@ def permute_slots(state: ManyBodyState, perm: Sequence[int]) -> ManyBodyState:
     if sorted(perm) != list(range(state.n)):
         raise ValueError("perm must be a permutation of range(n)")
     entries = [
-        (tuple(term[p] for p in perm), form) for term, form in state.terms.items()
+        (tuple(term[p] for p in perm), value) for term, value in state.terms.items()
     ]
     return make_state(state.statistics, state.n, entries)
 

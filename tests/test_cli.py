@@ -15,11 +15,11 @@ from mixbench.states import (
     Mode,
     SingleParticleState,
     Statistics,
+    coefficient_norm,
     coherent_initial_state,
     fock_initial_state,
     parse_term,
     render_term,
-    state_norm,
 )
 
 
@@ -108,6 +108,22 @@ def test_csv_and_json_serialize_the_same_records(capsys, tmp_path):
     code, json_text, _ = run_cli(capsys, *args, "--format", "json")
     assert code == 0
     assert csv_rows_typed(csv_text) == json.loads(json_text)
+
+
+def test_negative_zero_epsilon_is_the_zero_point(capsys):
+    args = (
+        "run", "--experiment", "type2", "--statistics", "fermion", "--n", "2",
+        "--epsilon=0,-0", "--engines", "closed",
+    )
+    code, csv_text, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert [row["epsilon"] for row in rows] == ["0.0", "0.0"]
+    assert len({row["amplitude"] for row in rows}) == 1
+    code, table, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert table.count("n=2 eps=0 ") == 2
+    assert "-0" not in csv_text + table
 
 
 def test_output_is_byte_stable(capsys):
@@ -293,8 +309,9 @@ def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, statis
     (pairs,) = firstq.args  # what the evaluator keeps: (ca, cb) pairs, no terms or forms
     assert all(type(ca) is complex and type(cb) is complex for ca, cb in pairs)
     final = scatter(point.first_quantized(statistics)).final_state
+    final_pairs = [(form.ca, form.cb) for form in final.terms.values()]
     for sa, sb in SIGNED_ZERO_PAIRS:
-        assert firstq(sa, sb) == state_norm(final, sa, sb)
+        assert firstq(sa, sb) == coefficient_norm(final_pairs, sa, sb)
 
 
 def test_one_config_file_serves_run_and_paths(capsys, tmp_path):

@@ -27,7 +27,6 @@ from mixbench.states import (
     parse_term,
     permute_slots,
     sector_of,
-    state_norm,
     symmetrize,
 )
 
@@ -43,9 +42,18 @@ def f(*pairs):
 
 
 def scaled(state, factor):
+    """An unscattered state times a factor, merged and pruned by make_state."""
+    factor = complex(factor)
     return make_state(
-        state.statistics, state.n, [(t, form.scaled(factor)) for t, form in state.terms.items()]
+        state.statistics, state.n, [(t, value * factor) for t, value in state.terms.items()]
     )
+
+
+def scaled_forms(terms, factor):
+    """Scattered forms times a factor, ca and cb each; exact zeros pruned."""
+    factor = complex(factor)
+    products = {t: (form.ca * factor, form.cb * factor) for t, form in terms.items()}
+    return {t: AmplitudeForm(ca, cb) for t, (ca, cb) in products.items() if ca or cb}
 
 
 def test_single_pair_boson_scatters_both_ways():
@@ -58,8 +66,8 @@ def test_single_pair_boson_scatters_both_ways():
     assert final[b(V, U)].cb == pytest.approx(w)
     assert final[b(U, V)].ca == pytest.approx(w)
     assert final[b(U, V)].cb == pytest.approx(w)
-    assert state_norm(result.final_state, 1, 1) == pytest.approx(2.0, abs=1e-12)
-    assert state_norm(result.final_state, 1, -1) == pytest.approx(0.0, abs=1e-12)
+    assert coefficient_norm(result.coefficients, 1, 1) == pytest.approx(2.0, abs=1e-12)
+    assert coefficient_norm(result.coefficients, 1, -1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_pair_fermion_interferes_destructively():
@@ -71,8 +79,8 @@ def test_single_pair_fermion_interferes_destructively():
     # process B lands on (u,v), whose canonical reordering flips the sign
     assert final[key].ca == pytest.approx(1.0)
     assert final[key].cb == pytest.approx(-1.0)
-    assert state_norm(result.final_state, 1, 1) == pytest.approx(0.0, abs=1e-12)
-    assert state_norm(result.final_state, 1, -1) == pytest.approx(2.0, abs=1e-12)
+    assert coefficient_norm(result.coefficients, 1, 1) == pytest.approx(0.0, abs=1e-12)
+    assert coefficient_norm(result.coefficients, 1, -1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_two_phi_fermion_expansion_frozen():
@@ -93,14 +101,14 @@ def test_fermion_pauli_blocking_suppresses_occupied_destinations():
     result = apply_first_order(state)
     assert result.final_state.terms == {}
     assert result.paths == ()
-    assert state_norm(result.final_state, 1, 1) == 0.0
+    assert coefficient_norm(result.coefficients, 1, 1) == 0.0
 
 
 def test_partial_blocking_leaves_single_process():
     # n1=2 > n3=1 >= n2=1: only the phi->v channel survives for q=2
-    final = apply_first_order(fock_initial_state(2, 1, 1, Statistics.FERMION)).final_state
+    pairs = apply_first_order(fock_initial_state(2, 1, 1, Statistics.FERMION)).coefficients
     for sa, sb in ((1 + 0j, 1 + 0j), (0.3 + 0.1j, 0.2 + 0j)):
-        assert state_norm(final, sa, sb) == pytest.approx(abs(sa), abs=1e-12)
+        assert coefficient_norm(pairs, sa, sb) == pytest.approx(abs(sa), abs=1e-12)
 
 
 def test_boson_stimulation_count():
@@ -115,16 +123,17 @@ def test_boson_stimulation_count():
 
 
 def test_scattered_norm_fock_boson_closed_value():
-    final = apply_first_order(fock_initial_state(2, 3, 4, Statistics.BOSON)).final_state
+    pairs = apply_first_order(fock_initial_state(2, 3, 4, Statistics.BOSON)).coefficients
     expected = math.sqrt(2 * 3 * (4 + 1)) * 2.0
-    assert state_norm(final, 1, 1) == pytest.approx(expected, rel=1e-12)
+    assert coefficient_norm(pairs, 1, 1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rejects_already_scattered_state():
-    state = fock_initial_state(1, 1, 0, Statistics.BOSON)
-    once = apply_first_order(state).final_state
-    with pytest.raises(ValueError):
-        apply_first_order(once)
+    # A path multiplies its source coefficient by its sign; a form is no number.
+    for statistics in Statistics:
+        once = apply_first_order(fock_initial_state(1, 1, 0, statistics)).final_state
+        with pytest.raises(TypeError):
+            apply_first_order(once)
 
 
 def test_path_report_canonicalizes_fermion_destination():
@@ -223,14 +232,18 @@ def test_sources_into_pins_the_size_of_the_benchmark_listing():
 
 
 def test_sector_amplitude_splits_the_norm():
-    final = apply_first_order(fock_initial_state(1, 1, 1, Statistics.BOSON)).final_state
+    result = apply_first_order(fock_initial_state(1, 1, 1, Statistics.BOSON))
     sa, sb = 0.3 + 0.1j, 0.2 + 0j
 
     def sector_amplitude(sector):
-        kept = {t: form for t, form in final.terms.items() if sector_of(t) == sector}
-        return state_norm(ManyBodyState(final.statistics, final.n, kept), sa, sb)
+        kept = [
+            (form.ca, form.cb)
+            for t, form in result.final_state.terms.items()
+            if sector_of(t) == sector
+        ]
+        return coefficient_norm(kept, sa, sb)
 
-    total = state_norm(final, sa, sb)
+    total = coefficient_norm(result.coefficients, sa, sb)
     doubled_v = sector_amplitude(SectorSpec(0, 0, 2, 1))
     single_v = sector_amplitude(SectorSpec(1, 1, 0, 1))
     # v v u and the pass-through-phi/psi sectors... the scattered state has
@@ -243,10 +256,14 @@ def test_scattering_commutes_with_slot_permutation():
     state = coherent_initial_state(3, 0.2, Statistics.BOSON)
     perm = (2, 0, 1)
     direct = apply_first_order(permute_slots(state, perm)).final_state
-    swapped = permute_slots(apply_first_order(state).final_state, perm)
-    assert direct.terms.keys() == swapped.terms.keys()
+    # Bosonic slots relabel with no sign, and distinct terms stay distinct.
+    swapped = {
+        tuple(term[p] for p in perm): form
+        for term, form in apply_first_order(state).final_state.terms.items()
+    }
+    assert direct.terms.keys() == swapped.keys()
     for term, form in direct.terms.items():
-        other = swapped.terms[term]
+        other = swapped[term]
         assert form.ca == pytest.approx(other.ca, abs=1e-12)
         assert form.cb == pytest.approx(other.cb, abs=1e-12)
 
@@ -263,7 +280,7 @@ def test_scattering_commutes_with_slot_permutation():
 def test_engine_is_linear_in_the_state(statistics, factor):
     state = fock_initial_state(2, 1, 1, statistics)
     scaled_first = apply_first_order(scaled(state, factor)).final_state.terms
-    scaled_after = scaled(apply_first_order(state).final_state, factor).terms
+    scaled_after = scaled_forms(apply_first_order(state).final_state.terms, factor)
     for term in scaled_first.keys() | scaled_after.keys():
         form = scaled_first.get(term, AmplitudeForm())
         other = scaled_after.get(term, AmplitudeForm())
@@ -286,11 +303,10 @@ def test_number_conservation():
 
 
 def naive_scatter(state):
-    """Reference scatter: replace the two slots, sort the whole term, merge by make_state."""
+    """Reference paths: replace the two slots, then sort the whole term."""
     fermionic = state.statistics is Statistics.FERMION
     paths = []
-    entries = []
-    for term, form in state.terms.items():
+    for term, coeff in state.terms.items():
         for i, phi in enumerate(term):
             for j, psi in enumerate(term):
                 if phi.mode is not PHI or psi.mode is not PSI:
@@ -305,23 +321,21 @@ def naive_scatter(state):
                             dest, sign = canonical_fermion_term(dest)
                         except PauliViolationError:
                             continue  # Pauli blocked
-                    value = sign * form.c0
+                    value = sign * coeff
                     paths.append((term, process, i, j, sign, value, dest))
-                    make = AmplitudeForm.process_a if process == PROCESS_A else AmplitudeForm.process_b
-                    entries.append((dest, make(value)))
-    return paths, make_state(state.statistics, state.n, entries)
+    return paths
 
 
 def assert_matches_naive(state):
     result = apply_first_order(state)
-    paths, final = naive_scatter(state)
+    paths = naive_scatter(state)
     assert [tuple(p) for p in result.paths] == paths
     assert [p.contribution for p in result.paths] == [
         AmplitudeForm(ca=v) if process == PROCESS_A else AmplitudeForm(cb=v)
         for _, process, _, _, _, v, _ in paths
     ]
-    # same forms, bit for bit, in the same canonical order
-    assert list(result.final_state.terms.items()) == list(final.terms.items())
+    # same forms in the same canonical order
+    assert list(result.final_state.terms.items()) == list(naive_path_order_sums(state).items())
 
 
 fermion_slots = st.builds(SingleParticleState, st.sampled_from(list(Mode)), st.integers(1, 4))
@@ -332,9 +346,9 @@ fermion_slots = st.builds(SingleParticleState, st.sampled_from(list(Mode)), st.i
     st.sets(fermion_slots, min_size=2, max_size=8).map(lambda slots: tuple(sorted(slots))),
     st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
 )
-def test_incremental_fermion_sign_matches_full_sort(term, c0):
+def test_incremental_fermion_sign_matches_full_sort(term, value):
     # every unblocked (phi slot, psi slot, process) of a random Slater key
-    state = ManyBodyState(Statistics.FERMION, len(term), {term: AmplitudeForm.constant(c0)})
+    state = ManyBodyState(Statistics.FERMION, len(term), {term: complex(value)})
     assert_matches_naive(state)
 
 
@@ -362,7 +376,7 @@ def sparse_fermion_states(draw):
             max_size=len(keys),
         )
     )
-    terms = {key: AmplitudeForm.constant(c) for key, c in zip(keys, values)}
+    terms = {key: complex(c) for key, c in zip(keys, values)}
     return ManyBodyState(Statistics.FERMION, n, terms)
 
 
@@ -395,9 +409,9 @@ def signed_zero_state(statistics):
     one, two = (1, 2) if statistics is Statistics.FERMION else (None, None)
     terms = {
         (SingleParticleState(PHI, one), SingleParticleState(PHI, two),
-         SingleParticleState(PSI, one)): AmplitudeForm.constant(complex(-0.0, 0.5)),
+         SingleParticleState(PSI, one)): complex(-0.0, 0.5),
         (SingleParticleState(PHI, one), SingleParticleState(PSI, one),
-         SingleParticleState(PSI, two)): AmplitudeForm.constant(complex(0.25, -0.0)),
+         SingleParticleState(PSI, two)): complex(0.25, -0.0),
     }
     return ManyBodyState(statistics, 3, terms)
 
@@ -446,10 +460,10 @@ def naive_path_order_sums(state):
     """Reference final terms: the naive paths' values summed per destination in path order.
 
     A destination's first value is taken as it is and later ones added, so
-    signed zeros come out as the scatter makes them; ``make_state`` in
-    ``naive_scatter`` merges through form addition and loses them.
+    signed zeros come out as the scatter makes them; starting every sum
+    from 0j would lose them.
     """
-    paths, _ = naive_scatter(state)
+    paths = naive_scatter(state)
     sums = {}
     for _, process, _, _, _, value, dest in paths:
         component = 0 if process == PROCESS_A else 1
@@ -493,7 +507,7 @@ def boson_states(draw):
             max_size=len(keys),
         )
     )
-    terms = {key: AmplitudeForm.constant(c) for key, c in zip(keys, values)}
+    terms = {key: complex(c) for key, c in zip(keys, values)}
     return ManyBodyState(Statistics.BOSON, n, terms)
 
 
@@ -530,13 +544,21 @@ def test_coefficient_norm_is_state_norm_bit_for_bit(statistics, build):
     result = apply_first_order(build(statistics), paths=False)
     pairs = result.coefficients
     for sa, sb in SIGNED_ZERO_PAIRS:
-        assert coefficient_norm(pairs, sa, sb) == state_norm(result.final_state, sa, sb)
+        assert coefficient_norm(pairs, sa, sb) == evaluated_norm(result.final_state, sa, sb)
+
+
+def evaluated_norm(state, sa, sb):
+    """The norm of a scattered state as each form evaluates it, in term order."""
+    total = 0.0
+    for form in state.terms.values():
+        total += abs(form.evaluate(sa, sb)) ** 2
+    return math.sqrt(total)
 
 
 def test_non_finite_sums_raise_the_form_error_when_read():
     # Two paths of 1.5e308 land on each destination and overflow to inf.
     orderings = symmetrize(parse_term("phi psi v")).terms
-    big = AmplitudeForm.constant(1.5e308)
+    big = complex(1.5e308)
     state = ManyBodyState(Statistics.BOSON, 3, dict.fromkeys(orderings, big))
     message = r"^ca must be finite, got \(inf\+0j\)$"
     with pytest.raises(ValueError, match=message):
@@ -546,7 +568,7 @@ def test_non_finite_sums_raise_the_form_error_when_read():
 
 
 def test_rejects_non_canonical_fermion_key():
-    one = AmplitudeForm.constant(1.0)
+    one = 1 + 0j
     good = f((PHI, 1), (PSI, 1), (V, 2))
     scrambled = f((PSI, 1), (PHI, 1), (V, 2))
     for terms in ({scrambled: one}, {good: one, scrambled: one}):
@@ -555,7 +577,7 @@ def test_rejects_non_canonical_fermion_key():
 
 
 def test_rejects_fermion_key_with_a_repeated_slot():
-    one = AmplitudeForm.constant(1.0)
+    one = 1 + 0j
     repeated = f((PHI, 1), (PHI, 1), (PSI, 1))
     with pytest.raises(ValueError, match="canonical"):
         apply_first_order(ManyBodyState(Statistics.FERMION, 3, {repeated: one}))
@@ -565,7 +587,7 @@ def test_rejects_fermion_key_with_a_repeated_slot():
 def test_rejects_a_fermion_q_label_that_is_not_an_int_from_one(q):
     # Once accepted: phi(0) psi(0) scattered to v(None) u(None), and
     # phi(-1) psi(1) to the Pauli-violating v(1) v(1).
-    one = AmplitudeForm.constant(1.0)
+    one = 1 + 0j
     for psi_q in (q, 1):
         key = (SingleParticleState(PHI, q), SingleParticleState(PSI, psi_q))
         for terms in ({key: one}, {f((PHI, 1), (PSI, 2)): one, key: one}):

@@ -109,6 +109,13 @@ def test_exact_routes_do_not_import_each_other(module, other):
     assert other not in imported_modules(tree), f"{module}.py imports from {other}"
 
 
+@pytest.mark.parametrize("module", ["states", "oracle"])
+def test_unscattered_stages_do_not_import_amplitudes(module):
+    """Initial states and the oracle hold plain complex; only engine builds scattered forms."""
+    tree = ast.parse((ROOT / "src" / "mixbench" / f"{module}.py").read_text(encoding="utf-8"))
+    assert "amplitudes" not in imported_modules(tree), f"{module}.py imports from amplitudes"
+
+
 def test_cli_decides_the_experiment_only_in_its_point_types():
     """Only the point types know an experiment's fields; the rest of cli asks them.
 

@@ -21,10 +21,10 @@ from mixbench.states import (
     Statistics,
     StatisticsMismatchError,
     canonical_fermion_term,
+    coefficient_norm,
     coherent_initial_state,
     fock_initial_state,
     make_state,
-    state_norm,
 )
 from mixbench.amplitudes import AmplitudeForm
 
@@ -37,8 +37,8 @@ def f(*pairs):
 
 def occupation_norm(state) -> float:
     total = 0.0
-    for form in state.terms.values():
-        total += abs(form.c0) ** 2
+    for value in state.terms.values():
+        total += abs(value) ** 2
     return math.sqrt(total)
 
 
@@ -64,15 +64,15 @@ def test_boson_occupation_groups_mk():
     # coefficient carries the sqrt of the group multiplicity
     w = math.sqrt((1 - 0.2) / 2)
     expected = math.sqrt(3) * w**2 * math.sqrt(0.2)
-    assert abs(state.terms[(2, 0, 1, 0)].c0) == pytest.approx(expected, rel=1e-12)
+    assert abs(state.terms[(2, 0, 1, 0)]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_from_first_quantized_recovers_fock_builder():
     direct = fock_occupation_state(1, 2, 1, Statistics.BOSON)
     converted = from_first_quantized(fock_initial_state(1, 2, 1, Statistics.BOSON))
     assert converted.terms.keys() == direct.terms.keys()
-    for key, form in converted.terms.items():
-        assert form.c0 == pytest.approx(direct.terms[key].c0, rel=1e-12)
+    for key, value in converted.terms.items():
+        assert value == pytest.approx(direct.terms[key], rel=1e-12)
 
 
 def test_from_first_quantized_rejects_lopsided_states():
@@ -81,7 +81,7 @@ def test_from_first_quantized_rejects_lopsided_states():
     lopsided = make_state(
         Statistics.BOSON,
         2,
-        [(term, AmplitudeForm.constant(0.9)), (other, AmplitudeForm.constant(0.1))],
+        [(term, 0.9), (other, 0.1)],
     )
     with pytest.raises(StatisticsMismatchError):
         from_first_quantized(lopsided)
@@ -123,7 +123,7 @@ def test_boson_vertex_carries_sqrt_occupancies():
     scattered = apply_fwm_operator(state, 1 + 0j, 0j)
     assert set(scattered.terms) == {(0, 0, 2, 1)}
     # sqrt(n_phi * n_psi * (n_v+1) * (n_u+1)) = sqrt(2)
-    assert scattered.terms[(0, 0, 2, 1)].c0 == pytest.approx(math.sqrt(2))
+    assert scattered.terms[(0, 0, 2, 1)] == pytest.approx(math.sqrt(2))
 
 
 def test_fermion_operator_blocks_occupied_destinations():
@@ -141,8 +141,8 @@ def test_fermion_operator_blocks_occupied_destinations():
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 def test_oracle_matches_first_quantized_engine_fock(n1, n2, n3, pair, statistics):
     sa, sb = pair
-    firstq = apply_first_order(fock_initial_state(n1, n2, n3, statistics)).final_state
-    expected = state_norm(firstq, sa, sb)
+    firstq = apply_first_order(fock_initial_state(n1, n2, n3, statistics)).coefficients
+    expected = coefficient_norm(firstq, sa, sb)
     scattered = apply_fwm_operator(fock_occupation_state(n1, n2, n3, statistics), sa, sb)
     assert oracle_scattered_norm(scattered) == pytest.approx(expected, abs=1e-10)
 
@@ -151,8 +151,8 @@ def test_oracle_matches_first_quantized_engine_fock(n1, n2, n3, pair, statistics
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 def test_oracle_matches_first_quantized_engine_coherent(n, epsilon, statistics):
     sa, sb = 0.3 + 0.1j, 0.2 + 0j
-    firstq = apply_first_order(coherent_initial_state(n, epsilon, statistics)).final_state
-    expected = state_norm(firstq, sa, sb)
+    firstq = apply_first_order(coherent_initial_state(n, epsilon, statistics)).coefficients
+    expected = coefficient_norm(firstq, sa, sb)
     scattered = apply_fwm_operator(coherent_occupation_state(n, epsilon, statistics), sa, sb)
     assert oracle_scattered_norm(scattered) == pytest.approx(expected, abs=1e-10)
 
@@ -189,7 +189,7 @@ def coherent_fermion_occupation_reference(n, epsilon):
             continue
         slots = tuple(SingleParticleState(mode, i + 1) for i, mode in enumerate(assignment))
         canonical, sign = canonical_fermion_term(slots)
-        terms[canonical] = AmplitudeForm.constant(sign * coeff)
+        terms[canonical] = complex(sign * coeff)
     return dict(sorted(terms.items()))
 
 
@@ -199,8 +199,8 @@ def test_coherent_fermion_occupation_matches_canonicalized_reference(n, epsilon)
     state = coherent_occupation_state(n, epsilon, Statistics.FERMION)
     reference = coherent_fermion_occupation_reference(n, epsilon)
     assert list(state.terms) == list(reference)
-    assert [repr(form) for form in state.terms.values()] == [
-        repr(form) for form in reference.values()
+    assert [repr(value) for value in state.terms.values()] == [
+        repr(value) for value in reference.values()
     ]
 
 
@@ -223,25 +223,25 @@ def _create(occ, key):
 
 
 def apply_fwm_reference(state, sa, sb):
-    """The ladder-operator loop as first written: one form per path, merged form by form."""
+    """The ladder-operator loop as first written: one value per path, merged one by one."""
     merged = {}
 
-    def accumulate(key, form):
+    def accumulate(key, value):
         if key in merged:
-            merged[key] = merged[key] + form
+            merged[key] = merged[key] + value
         else:
-            merged[key] = form
+            merged[key] = value
 
     if state.statistics is Statistics.BOSON:
         vertex = complex(sa) + complex(sb)
-        for occ, form in state.terms.items():
+        for occ, value in state.terms.items():
             n_phi, n_psi, n_v, n_u = occ
             if n_phi < 1 or n_psi < 1:
                 continue
             factor = vertex * math.sqrt(n_phi * n_psi * (n_v + 1) * (n_u + 1))
-            accumulate((n_phi - 1, n_psi - 1, n_v + 1, n_u + 1), form.scaled(factor))
+            accumulate((n_phi - 1, n_psi - 1, n_v + 1, n_u + 1), value * complex(factor))
     else:
-        for occ, form in state.terms.items():
+        for occ, value in state.terms.items():
             phi_qs = [slot.q for slot in occ if slot.mode is PHI]
             psi_qs = [slot.q for slot in occ if slot.mode is PSI]
             for q in phi_qs:
@@ -259,8 +259,8 @@ def apply_fwm_reference(state, sa, sb):
                                 break
                             sign, current = step[0] * sign, step[1]
                         else:
-                            accumulate(current, form.scaled(sign * amplitude))
-    return {key: form for key, form in sorted(merged.items()) if not form.is_zero()}
+                            accumulate(current, value * complex(sign * amplitude))
+    return {key: value for key, value in sorted(merged.items()) if value != 0}
 
 
 OCCUPATION_INPUTS = [
@@ -286,26 +286,26 @@ OCCUPATION_INPUTS = [
 @pytest.mark.parametrize("build", OCCUPATION_INPUTS)
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 def test_apply_fwm_operator_matches_form_based_reference(statistics, build, pair):
-    # The reference scales whole forms, so its zero ca and cb may be -0;
-    # each value lives in c0, whose bits must agree.
+    # Each value's bits must agree, signed zeros included.
     state = build(statistics)
     scattered = apply_fwm_operator(state, *pair)
     reference = apply_fwm_reference(state, *pair)
     assert list(scattered.terms) == list(reference)
-    assert [repr(form.c0) for form in scattered.terms.values()] == [
-        repr(form.c0) for form in reference.values()
+    assert [repr(value) for value in scattered.terms.values()] == [
+        repr(value) for value in reference.values()
     ]
-    assert all(form.ca == 0 and form.cb == 0 for form in scattered.terms.values())
+    assert all(type(value) is complex for value in scattered.terms.values())
 
 
 @pytest.mark.parametrize(
     "statistics,key",
     [(Statistics.BOSON, (1, 1, 0, 0)), (Statistics.FERMION, f((PHI, 1), (PSI, 2)))],
 )
-@pytest.mark.parametrize("form", [AmplitudeForm(c0=1, ca=0.5), AmplitudeForm(cb=-1j)])
+@pytest.mark.parametrize("form", [AmplitudeForm(ca=1, cb=0.5), AmplitudeForm(cb=-1j)])
 def test_apply_fwm_operator_rejects_scattered_input(statistics, key, form):
+    # The operator multiplies each coefficient by a number; a form is no number.
     state = OccupationState(statistics, 2, {key: form})
-    with pytest.raises(ValueError, match="scattering amplitudes"):
+    with pytest.raises(TypeError):
         apply_fwm_operator(state, 1 + 0j, 1 + 0j)
 
 
@@ -321,7 +321,7 @@ def test_apply_fwm_operator_rejects_scattered_input(statistics, key, form):
     ],
 )
 def test_apply_fwm_operator_rejects_non_canonical_fermion_keys(n, key):
-    state = OccupationState(Statistics.FERMION, n, {key: AmplitudeForm.constant(1.0)})
+    state = OccupationState(Statistics.FERMION, n, {key: 1 + 0j})
     with pytest.raises(ValueError, match="^fermionic state keys must be canonical$"):
         apply_fwm_operator(state, 1 + 0j, 1 + 0j)
 
@@ -355,7 +355,7 @@ def fermion_occupation_states(draw):
         )
     )
     values = draw(st.lists(amplitudes, min_size=len(keys), max_size=len(keys)))
-    terms = {key: AmplitudeForm.constant(value) for key, value in zip(keys, values)}
+    terms = {key: complex(value) for key, value in zip(keys, values)}
     return OccupationState(Statistics.FERMION, n, terms)
 
 
@@ -367,11 +367,11 @@ def test_fermion_bitmask_kernel_matches_reference_bit_for_bit(state, sa, sb):
     norm_from_sums = oracle_scattered_norm(scattered)
     reference = apply_fwm_reference(state, sa, sb)
     assert list(scattered.terms) == list(reference)
-    assert [repr(form.c0) for form in scattered.terms.values()] == [
-        repr(form.c0) for form in reference.values()
+    assert [repr(value) for value in scattered.terms.values()] == [
+        repr(value) for value in reference.values()
     ]
     total = 0.0
-    for form in scattered.terms.values():
-        total += abs(form.c0) ** 2
+    for value in scattered.terms.values():
+        total += abs(value) ** 2
     assert repr(norm_from_sums) == repr(math.sqrt(total))
     assert repr(oracle_scattered_norm(scattered)) == repr(norm_from_sums)

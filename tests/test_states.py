@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixbench.amplitudes import AmplitudeForm
 from mixbench.states import (
     Mode,
     PauliViolationError,
@@ -96,17 +95,17 @@ def test_make_state_merges_and_prunes():
     state = make_state(
         Statistics.BOSON,
         2,
-        [(term, AmplitudeForm.constant(1.0)), (term, AmplitudeForm.constant(-1.0))],
+        [(term, 1.0), (term, -1.0)],
     )
     assert state.terms == {}
 
 
 def test_make_state_folds_fermion_sign():
     swapped = f((PSI, 1), (PHI, 1))
-    state = make_state(Statistics.FERMION, 2, [(swapped, AmplitudeForm.constant(1.0))])
+    state = make_state(Statistics.FERMION, 2, [(swapped, 1.0)])
     key = f((PHI, 1), (PSI, 1))
     assert set(state.terms) == {key}
-    assert state.terms[key].c0 == -1.0
+    assert state.terms[key] == -1.0
 
 
 def test_symmetrize_counts_distinct_orderings():
@@ -124,11 +123,11 @@ def test_symmetrize_matches_distinct_permutations(n):
     # every mode multiset of size n, given sorted and reversed
     for modes in combinations_with_replacement(list(Mode), n):
         expected = sorted(set(permutations(b(*modes))), key=_term_sort_key)
-        coeff = AmplitudeForm.constant(1.0 / math.sqrt(len(expected)))
+        coeff = complex(1.0 / math.sqrt(len(expected)))
         for term in (b(*modes), b(*reversed(modes))):
             state = symmetrize(term)
             assert list(state.terms) == expected
-            assert all(form == coeff for form in state.terms.values())
+            assert all(value == coeff for value in state.terms.values())
 
 
 def test_antisymmetrize_stores_a_single_sorted_key():
@@ -136,7 +135,7 @@ def test_antisymmetrize_stores_a_single_sorted_key():
     assert len(state.terms) == 1
     key = f((PHI, 1), (PSI, 1), (V, 1))
     assert key in state.terms
-    assert state.terms[key].c0 == -1.0
+    assert state.terms[key] == -1.0
     assert state_norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -162,7 +161,7 @@ def test_fock_fermion_state_is_one_slater_key(n1, n2, n3):
         *[(PSI, q) for q in range(1, n2 + 1)],
         *[(V, q) for q in range(1, n3 + 1)],
     )
-    assert state.terms[key].c0 == 1.0
+    assert state.terms[key] == 1.0
 
 
 def test_fock_initial_state_validates_counts():
@@ -198,17 +197,17 @@ def test_permute_slots_boson_symmetry():
     state = fock_initial_state(2, 1, 1, Statistics.BOSON)
     permuted = permute_slots(state, (3, 2, 1, 0))
     assert permuted.terms.keys() == state.terms.keys()
-    for term, form in state.terms.items():
-        assert permuted.terms[term].c0 == pytest.approx(form.c0)
+    for term, value in state.terms.items():
+        assert permuted.terms[term] == pytest.approx(value)
 
 
 def test_permute_slots_fermion_antisymmetry():
     state = fock_initial_state(2, 1, 0, Statistics.FERMION)
     swapped = permute_slots(state, (1, 0, 2))  # odd permutation
     (key,) = state.terms
-    assert swapped.terms[key].c0 == -state.terms[key].c0
+    assert swapped.terms[key] == -state.terms[key]
     cycled = permute_slots(state, (1, 2, 0))  # even permutation
-    assert cycled.terms[key].c0 == state.terms[key].c0
+    assert cycled.terms[key] == state.terms[key]
 
 
 def test_project_sector_selects_terms():
@@ -292,7 +291,7 @@ def test_full_antisymmetry_under_any_permutation(perm):
         if length % 2 == 0:
             sign = -sign
     (key,) = state.terms
-    assert permuted.terms[key].c0 == sign * state.terms[key].c0
+    assert permuted.terms[key] == sign * state.terms[key]
 
 
 def coherent_reference(n, epsilon, statistics):
@@ -310,7 +309,7 @@ def coherent_reference(n, epsilon, statistics):
             term = b(*assignment)
         else:
             term = f(*((mode, i + 1) for i, mode in enumerate(assignment)))
-        entries.append((term, AmplitudeForm.constant(coeff)))
+        entries.append((term, coeff))
     return make_state(statistics, n, entries)
 
 
@@ -318,15 +317,14 @@ def coherent_reference(n, epsilon, statistics):
 @pytest.mark.parametrize("epsilon", [0.0, 0.2, 1 / 3, 0.5])
 @pytest.mark.parametrize("n", range(2, 7))
 def test_coherent_initial_state_matches_raw_assignment_reference(n, epsilon, statistics):
-    # The reference negates a whole form, which turns its zero ca and cb
-    # into -0; only c0 carries a value, and its bits must agree.
+    # Each value's bits must agree, signed zeros included.
     state = coherent_initial_state(n, epsilon, statistics)
     reference = coherent_reference(n, epsilon, statistics)
     assert list(state.terms) == sorted(reference.terms, key=_term_sort_key)
-    assert [repr(form.c0) for form in state.terms.values()] == [
-        repr(reference.terms[term].c0) for term in state.terms
+    assert [repr(value) for value in state.terms.values()] == [
+        repr(reference.terms[term]) for term in state.terms
     ]
-    assert all(form.ca == 0 and form.cb == 0 for form in state.terms.values())
+    assert all(type(value) is complex for value in state.terms.values())
 
 
 fermion_slots_with_repeats = st.lists(
