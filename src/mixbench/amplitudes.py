@@ -5,7 +5,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 
 __all__ = [
     "AmplitudeForm",
@@ -24,7 +23,6 @@ def ensure_finite(value: complex, what: str = "value") -> complex:
     return z
 
 
-@dataclass(frozen=True, slots=True)
 class AmplitudeForm:
     """A scattered coefficient of the shape ``ca*sa + cb*sb``.
 
@@ -33,19 +31,43 @@ class AmplitudeForm:
     scattering event is ever applied, so a scattered coefficient is linear
     in the two amplitudes and has no constant part; an unscattered state
     holds plain complex numbers instead.
+
+    A form is an immutable value: both parts are finite complex numbers,
+    assigning or deleting either raises ``AttributeError``, and two forms
+    are equal, and hash alike, when both parts are.  It is not a tuple, so
+    ``1 * form`` raises ``TypeError`` instead of repeating it.
     """
 
-    ca: complex = 0j
-    cb: complex = 0j
+    __slots__ = ("ca", "cb")
 
-    def __post_init__(self) -> None:
-        ca, cb = complex(self.ca), complex(self.cb)
+    def __init__(self, ca: complex = 0j, cb: complex = 0j) -> None:
+        ca, cb = complex(ca), complex(cb)
         if not (cmath.isfinite(ca) and cmath.isfinite(cb)):
             # Raise the message of the first field that is not finite.
             ensure_finite(ca, "ca")
             ensure_finite(cb, "cb")
         object.__setattr__(self, "ca", ca)
         object.__setattr__(self, "cb", cb)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ca, self.cb) == (other.ca, other.cb)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ca, self.cb))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(ca={self.ca!r}, cb={self.cb!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.ca, self.cb)
 
     def evaluate(self, sa: complex, sb: complex) -> complex:
         return self.ca * complex(sa) + self.cb * complex(sb)

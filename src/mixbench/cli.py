@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from typing import NamedTuple
@@ -89,8 +88,7 @@ def nmax_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     statistics: Statistics
     points: list[Point]  # the grid, in lexicographic order of its flags
     sa: complex
@@ -101,8 +99,7 @@ class RunConfig:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     experiment: str
     statistics: str
     point: Point | None  # None for the identity records that have no point

@@ -56,7 +56,6 @@ the whole state's scatter gives.
 from __future__ import annotations
 
 from cmath import isfinite
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -117,8 +116,7 @@ class PathRecord(NamedTuple):
         return AmplitudeForm(cb=self.value)
 
 
-@dataclass(frozen=True)
-class ScatteredState:
+class ScatteredState(NamedTuple):
     """Sparse map from product terms to the ``(ca, cb)`` forms of a scattered state.
 
     Terms are in canonical order, and a term whose ca and cb are both exact
@@ -260,7 +258,8 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     """
     if state.statistics is Statistics.FERMION:
         return _scatter_fermions(state, paths)
-    width = 1 + max((slot.q or 0 for term in state.terms for slot in term), default=0)
+    slots = {slot for term in state.terms for slot in term}
+    width = 1 + max((slot.q or 0 for slot in slots), default=0)
     to_v, to_u = 2 * width, 3 * width  # codes of v(0) and u(0)
     # Process A takes phi (code q) to v(q) and psi (code width + q) to u(q),
     # adding to_v to each code; process B adds to_u to phi's code (u) and

@@ -10,7 +10,7 @@ exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .states import validate_coherent_point, validate_fock_point
 
@@ -115,8 +115,7 @@ def coherent_amplitude(n: int, epsilon: float, sa: complex, sb: complex) -> floa
     )
 
 
-@dataclass(frozen=True)
-class FockCounts:
+class FockCounts(NamedTuple):
     """Term-counting factors for the Fock-input experiment (bosons).
 
     total_terms: distinct orderings of the initial term.
@@ -144,8 +143,7 @@ def fock_counts(n1: int, n2: int, n3: int) -> FockCounts:
     return FockCounts(total, process, distinct_final, per_term)
 
 
-@dataclass(frozen=True)
-class CoherentCounts:
+class CoherentCounts(NamedTuple):
     """Counting factors for one (m, k) group of the superposition input.
 
     group_terms: number of assignments with m phi and k psi particles.

@@ -28,9 +28,8 @@ cross-check tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from .states import (
     ManyBodyState,
@@ -62,8 +61,7 @@ FermionOccupation = tuple[SingleParticleState, ...]
 OccupationKey = Union[BosonOccupation, FermionOccupation]
 
 
-@dataclass(frozen=True)
-class OccupationState:
+class OccupationState(NamedTuple):
     """Sparse map from occupation keys to complex coefficients."""
 
     statistics: Statistics

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -164,8 +163,7 @@ def is_canonical_fermion_term(term: ProductTerm) -> bool:
     return all(a < b for a, b in zip(term, term[1:]))
 
 
-@dataclass(frozen=True)
-class ManyBodyState:
+class ManyBodyState(NamedTuple):
     """Sparse map from product terms to complex coefficients, before scattering.
 
     Treat instances as immutable; all operations return new states.  Terms

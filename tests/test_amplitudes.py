@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +33,74 @@ def test_non_finite_coefficients_rejected():
         AmplitudeForm(ca=1, cb=complex(0, float("inf")))
     with pytest.raises(ValueError):
         ensure_finite(complex(0, float("inf")))
+    # The message names the first part that is not finite, with its value.
+    with pytest.raises(ValueError) as info:
+        AmplitudeForm(ca=float("nan"), cb=float("inf"))
+    assert str(info.value) == "ca must be finite, got (nan+0j)"
+    with pytest.raises(ValueError) as info:
+        AmplitudeForm(1, complex(0, float("-inf")))
+    assert str(info.value) == "cb must be finite, got -infj"
+
+
+def test_form_defaults_and_construction():
+    zero = AmplitudeForm()
+    assert (zero.ca, zero.cb) == (0j, 0j)
+    assert type(zero.ca) is complex and type(zero.cb) is complex
+    form = AmplitudeForm(1, 2.5)
+    assert (form.ca, form.cb) == (1 + 0j, 2.5 + 0j)
+    assert type(form.ca) is complex and type(form.cb) is complex
+    assert form == AmplitudeForm(ca=1, cb=2.5) == AmplitudeForm(1, cb=2.5)
+    assert AmplitudeForm(cb=1j) == AmplitudeForm(0, 1j)
+
+
+def test_form_repr_is_its_keyword_constructor():
+    assert repr(AmplitudeForm()) == "AmplitudeForm(ca=0j, cb=0j)"
+    assert repr(AmplitudeForm(0.5, -1 + 2j)) == "AmplitudeForm(ca=(0.5+0j), cb=(-1+2j))"
+    assert repr(AmplitudeForm(cb=-0.0)) == "AmplitudeForm(ca=0j, cb=(-0+0j))"
+
+
+def test_form_equality_and_hash_follow_both_parts():
+    a, b = AmplitudeForm(1, 2j), AmplitudeForm(1 + 0j, 2j)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != AmplitudeForm(1, 3j)
+    assert a != AmplitudeForm(2, 2j)
+    # Only forms compare equal to forms.
+    assert a != (1 + 0j, 2j)
+    assert a != 1 + 0j
+
+
+def test_form_is_immutable():
+    form = AmplitudeForm(1, 2)
+    for name in ("ca", "cb"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(form, name, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(form, name)
+    assert form == AmplitudeForm(1, 2)
+    assert not hasattr(form, "__dict__")
+
+
+def test_form_takes_no_new_attribute():
+    form = AmplitudeForm(1, 2)
+    with pytest.raises(AttributeError):
+        form.other = 0
+    with pytest.raises(AttributeError):
+        del form.other
+
+
+def test_form_is_not_a_tuple():
+    assert not isinstance(AmplitudeForm(1, 2), tuple)
+    with pytest.raises(TypeError):
+        1 * AmplitudeForm()
+
+
+def test_form_survives_copy_and_pickle():
+    form = AmplitudeForm(0.3 + 0.1j, -2)
+    assert copy.copy(form) == form
+    assert copy.deepcopy(form) == form
+    assert pickle.loads(pickle.dumps(form)) == form
 
 
 def test_approx_eq_mixed_scale():

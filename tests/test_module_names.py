@@ -7,6 +7,9 @@ import or export behind.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,6 +110,42 @@ def imported_modules(tree: ast.Module) -> set[str]:
 def test_exact_routes_do_not_import_each_other(module, other):
     tree = ast.parse((ROOT / "src" / "mixbench" / f"{module}.py").read_text(encoding="utf-8"))
     assert other not in imported_modules(tree), f"{module}.py imports from {other}"
+
+
+def test_no_module_imports_dataclasses():
+    """No source module imports ``dataclasses``.
+
+    Record types are NamedTuples and forms a slotted class: ``dataclasses``,
+    with the ``inspect`` it loads, would be about half of the package's import
+    time.
+    """
+    importing = [
+        path.name
+        for path in SOURCES
+        if "dataclasses" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importing == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Counted as the modules ``import mixbench.cli`` adds, so what site loaded is not."""
+    snippet = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mixbench.cli\n"
+        "print(mixbench.cli.__file__)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, env=env, check=True
+    )
+    where, added = proc.stdout.splitlines()
+    assert where.startswith(src)
+    assert "mixbench.cli" in added.split()
+    assert {"dataclasses", "inspect"} & set(added.split()) == set()
 
 
 @pytest.mark.parametrize("module", ["states", "oracle"])
