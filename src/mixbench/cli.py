@@ -25,7 +25,14 @@ from collections.abc import Callable
 # and json, by name on this module: call them through these globals, and
 # build no import-time table of them.
 from .amplitudes import approx_eq, format_complex, format_form, parse_complex
-from .engine import PROCESS_A, PathRecord, apply_first_order, path_report, sources_into
+from .engine import (
+    PROCESS_A,
+    PathRecord,
+    apply_first_order,
+    path_report,
+    source_sector,
+    sources_into,
+)
 from .formulas import (
     CROSS_CASES,
     coherent_amplitude,
@@ -44,6 +51,7 @@ from .oracle import (
 )
 from .states import (
     ProductTerm,
+    SectorSpec,
     Statistics,
     coefficient_norm,
     coherent_initial_state,
@@ -164,6 +172,10 @@ class FockPoint(NamedTuple):
     def first_quantized(self, statistics: Statistics):
         return fock_initial_state(*self, statistics)
 
+    def sector_state(self, statistics: Statistics, sector: SectorSpec):
+        """All of the input, whose one sector ``sources_into`` keeps or drops whole."""
+        return fock_initial_state(*self, statistics)
+
     def occupation(self, statistics: Statistics):
         return fock_occupation_state(*self, statistics)
 
@@ -204,6 +216,10 @@ class CoherentPoint(NamedTuple):
 
     def first_quantized(self, statistics: Statistics):
         return coherent_initial_state(*self, statistics)
+
+    def sector_state(self, statistics: Statistics, sector: SectorSpec):
+        """Only the sector's terms of the input."""
+        return coherent_initial_state(*self, statistics, sector=sector)
 
     def occupation(self, statistics: Statistics):
         return coherent_occupation_state(*self, statistics)
@@ -597,24 +613,28 @@ def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, co
     ``doc`` holds one object per (destination, paths, total, value) entry.
     The fixed schema is written from templates, because the indenting
     encoder is pure Python; every string is quoted with ``json.dumps``, and
-    each distinct source term is rendered and quoted once per call.  A
-    contribution keeps its schema's constant slot ``"c0": "0"``, which
+    each distinct source term, amount and process is rendered and quoted
+    once per call.  Amounts equal under ``==`` share their text, which is
+    exact because ``format_complex`` prints a -0.0 part as it prints 0.0.
+    A contribution keeps its schema's constant slot ``"c0": "0"``, which
     readers of the listing parse.
     """
     quote = json.dumps
     zero = quote("0")
     source_text = cache(lambda term: quote(render_term(term)))
+    amount_text = cache(lambda value: quote(format_complex(value)))
+    process_text = cache(quote)
     entries = []
     for dest, paths, total, value in payload:
         dest_text = quote(render_term(dest))  # also every path's destination
         records = []
         for p in paths:
-            amount = quote(format_complex(p.value))
+            amount = amount_text(p.value)
             ca, cb = (amount, zero) if p.process == PROCESS_A else (zero, amount)
             records.append(
                 "      {\n"
                 f'        "source": {source_text(p.source_term)},\n'
-                f'        "process": {quote(p.process)},\n'
+                f'        "process": {process_text(p.process)},\n'
                 f'        "phi_slot": {p.phi_slot},\n'
                 f'        "psi_slot": {p.psi_slot},\n'
                 f'        "sign": {p.sign},\n'
@@ -714,7 +734,8 @@ def _do_paths(args: argparse.Namespace) -> int:
             f"destination has {len(destination)} slots, state has {point.n} particles"
         )
     _check_destination(destination, cfg.statistics)
-    result = apply_first_order(sources_into(point.first_quantized(cfg.statistics), destination))
+    sources = point.sector_state(cfg.statistics, source_sector(destination))
+    result = apply_first_order(sources_into(sources, destination))
     payload = []
     for dest, paths in path_report(result, destination).items():
         total = result.final_state.terms.get(dest)

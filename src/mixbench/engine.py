@@ -43,14 +43,14 @@ The scattered norm is ``coefficient_norm(result.coefficients, sa, sb)``,
 which builds no final state.
 ``path_report`` owns which paths a ``paths`` request shows and in what
 order: it canonicalizes the destination, widens an unlabelled fermion
-destination to its sector, and sorts the paths.  ``sources_into`` keeps
-only the terms whose paths can land in a destination's sector: every path
-moves one phi and one psi particle to v and u, so a path out of sector
+destination to its sector, and sorts the paths.  ``source_sector`` is
+the one sector whose terms have paths into a destination's sector: every
+path moves one phi and one psi particle to v and u, so a path out of sector
 (phi, psi, v, u) lands in (phi - 1, psi - 1, v + 1, u + 1) and no other
-term adds a path or a coefficient there.  The kept terms stay in their
-stored order, so each destination of that sector receives the same
-contributions in the same order, and its sum is bit-identical to the one
-the whole state's scatter gives.
+term adds a path or a coefficient there.  ``sources_into`` keeps only the
+terms of that sector, in their stored order, so each destination of that
+sector receives the same contributions in the same order, and its sum is
+bit-identical to the one the whole state's scatter gives.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ __all__ = [
     "ScatteredState",
     "apply_first_order",
     "path_report",
+    "source_sector",
     "sources_into",
 ]
 
@@ -402,16 +403,21 @@ def _scatter_fermions(state: ManyBodyState, paths: bool) -> ScatterResult:
     return ScatterResult(state, records, sums, width)
 
 
-def sources_into(state: ManyBodyState, destination: ProductTerm) -> ManyBodyState:
-    """The terms of the state whose paths can land in the destination's sector.
+def source_sector(destination: ProductTerm) -> SectorSpec:
+    """The one sector whose terms have paths into the destination's sector.
 
     A path takes one phi and one psi particle to v and u, so only a term
     with one more phi and psi particle, and one fewer v and u particle,
-    than the destination can reach it.  The kept terms stay in their stored
-    order; a destination with no v or no u particle keeps none.
+    than the destination can reach it.  A destination with no v or no u
+    particle gives a negative count, a sector no term is in.
     """
     phi, psi, v, u = sector_of(destination)
-    wanted = SectorSpec(phi + 1, psi + 1, v - 1, u - 1)
+    return SectorSpec(phi + 1, psi + 1, v - 1, u - 1)
+
+
+def sources_into(state: ManyBodyState, destination: ProductTerm) -> ManyBodyState:
+    """The terms of the state in the destination's ``source_sector``, in their stored order."""
+    wanted = source_sector(destination)
     kept = {term: value for term, value in state.terms.items() if sector_of(term) == wanted}
     return ManyBodyState(state.statistics, state.n, kept)
 

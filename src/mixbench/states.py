@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum, IntEnum
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -285,61 +286,124 @@ def fock_initial_state(n1: int, n2: int, n3: int, statistics: Statistics) -> Man
     return antisymmetrize(slots)
 
 
-def coherent_initial_state(n: int, epsilon: float, statistics: Statistics) -> ManyBodyState:
-    """n particles, each in the same phi/psi/v superposition.
+def coherent_initial_state(
+    n: int, epsilon: float, statistics: Statistics, *, sector: SectorSpec | None = None
+) -> ManyBodyState:
+    """n particles, each in the same phi/psi/v superposition, or one sector of it.
 
     Per slot the weights are sqrt((1-epsilon)/2) on phi and on psi and
     sqrt(epsilon) on v.  The expansion has one term per mode assignment
     (3^n at most); with epsilon = 0 the v-carrying terms vanish exactly.
     For fermions particle i carries q = i, which makes every assignment a
     valid Slater key and renders the statistics irrelevant to scattering.
+    With ``sector`` only that sector's terms are built: the same keys and
+    values, in the same order, as the whole state holds them.  A sector
+    with a u particle, or with other than n particles, is empty.
 
-    Each key is built directly.  A bosonic key is the assignment itself.  A
-    fermionic key lists the slots mode by mode, each mode's slots in q
-    order, so its sorting permutation is the stable sort of the assignment
-    by mode rank: the sign is the parity of the assignment's inversions,
-    the pairs of slots i < j where slot i holds the higher-ranked mode.
-    All terms with the same (m, k, sign) share one coefficient.
+    Keys are built in canonical order, so nothing is sorted.  A bosonic key
+    is the assignment itself: the whole state is ``product`` order, with
+    each key's phi and psi counts grown slot by slot beside it, and one
+    sector is the distinct orderings of its modes.  A fermionic key lists the phi
+    q's rising, then the psi q's, then the v q's, so it is a phi subset of
+    the particles and a psi subset of the rest; ``_subsets`` lists both in
+    key order.  The sign is the parity of the assignment's inversions, the
+    pairs of slots i < j where slot i holds the higher-ranked mode: each phi
+    counts the particles outside the phi subset before it, and each psi the
+    v particles before it, which is the same count within the rest.  All
+    terms with the same (m, k, sign) share one coefficient.
     """
     validate_coherent_point(n, epsilon)
+    n_phi = n_psi = None  # the whole state
+    if sector is not None:
+        if sector.n_u or min(sector) < 0 or sum(sector) != n:
+            return ManyBodyState(statistics, n, {})
+        n_phi, n_psi = sector.n_phi, sector.n_psi
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
+    # values[m, k, parity]: the coefficient shared by the (m, k) terms of that
+    # inversion parity, None for an exact zero.  The power form keyed on
+    # counts gives every term of one group identical bits.
     values: dict[tuple[int, int, int], complex | None] = {}
-
-    def value_of(m: int, k: int, sign: int) -> complex | None:
-        """Shared coefficient of the (m, k, sign) terms; None for an exact zero."""
-        key = (m, k, sign)
-        if key not in values:
-            # Power form keyed on counts so every term of one (m, k) group
-            # gets a bit-identical coefficient.
+    for m in range(n + 1):
+        for k in range(n - m + 1):
             coeff = w_in ** (m + k) * w_seed ** (n - m - k)
-            values[key] = None if coeff == 0.0 else complex(sign * coeff)
-        return values[key]
-
-    modes = (Mode.PHI, Mode.PSI, Mode.V)
-    terms: dict[ProductTerm, complex] = {}
+            for parity, sign in ((0, 1), (1, -1)):
+                values[m, k, parity] = None if coeff == 0.0 else complex(sign * coeff)
     if statistics is Statistics.BOSON:
-        phi, psi, v = (SingleParticleState(mode) for mode in modes)
-        for term in product((phi, psi, v), repeat=n):
-            value = value_of(term.count(phi), term.count(psi), 1)
-            if value is not None:
-                terms[term] = value
+        terms = _coherent_boson_terms(n, n_phi, n_psi, values)
     else:
-        # slots[i][r]: particle i (q = i + 1) in the mode of rank r.
-        slots = [tuple(SingleParticleState(mode, i + 1) for mode in modes) for i in range(n)]
-        for assignment in product(range(3), repeat=n):
-            by_mode: tuple[list, list, list] = ([], [], [])
-            inversions = 0
-            for i, rank in enumerate(assignment):
-                by_mode[rank].append(slots[i][rank])
-                # Earlier slots in higher-ranked modes sort after this one.
-                for higher in by_mode[rank + 1 :]:
-                    inversions += len(higher)
-            phis, psis, vs = by_mode
-            value = value_of(len(phis), len(psis), -1 if inversions % 2 else 1)
+        terms = _coherent_fermion_terms(n, n_phi, n_psi, values)
+    return ManyBodyState(statistics, n, terms)
+
+
+def _coherent_boson_terms(
+    n: int, n_phi: int | None, n_psi: int | None, values: dict
+) -> dict[ProductTerm, complex]:
+    phi, psi, v = (SingleParticleState(mode) for mode in (Mode.PHI, Mode.PSI, Mode.V))
+    if n_phi is not None:
+        value = values[n_phi, n_psi, 0]
+        if value is None:
+            return {}
+        base = [phi] * n_phi + [psi] * n_psi + [v] * (n - n_phi - n_psi)
+        return dict.fromkeys(_multiset_permutations(base), value)
+    # codes[i] = m * (n + 1) + k for the i-th key in product order.  Ints up
+    # to 256 are shared objects, so unlike per-key count tuples these lists
+    # leave no garbage behind to fragment the heap and raise peak memory.
+    codes = [0]
+    for _ in range(n):
+        codes = [code + step for code in codes for step in (n + 1, 1, 0)]
+    by_code = {m * (n + 1) + k: values[m, k, 0] for m in range(n + 1) for k in range(n - m + 1)}
+    terms = {}
+    for key, code in zip(product((phi, psi, v), repeat=n), codes):
+        value = by_code[code]
+        if value is not None:
+            terms[key] = value
+    return terms
+
+
+def _coherent_fermion_terms(
+    n: int, n_phi: int | None, n_psi: int | None, values: dict
+) -> dict[ProductTerm, complex]:
+    phi_row, psi_row, v_row = (
+        [SingleParticleState(mode, q) for q in range(1, n + 1)]
+        for mode in (Mode.PHI, Mode.PSI, Mode.V)
+    )
+    psi_choices = {r: _subsets(r, n_psi) for r in range(n + 1)}
+    terms = {}
+    for phis, rest, phi_parity in _subsets(n, n_phi):
+        m = len(phis)
+        head = tuple([phi_row[i] for i in phis])
+        psi_rest = [psi_row[i] for i in rest]
+        v_rest = [v_row[i] for i in rest]
+        for psis, vs, psi_parity in psi_choices[len(rest)]:
+            value = values[m, len(psis), phi_parity ^ psi_parity]
             if value is not None:
-                terms[tuple(phis + psis + vs)] = value
-    return ManyBodyState(statistics, n, dict(sorted(terms.items())))
+                key = head + tuple([psi_rest[i] for i in psis]) + tuple([v_rest[i] for i in vs])
+                terms[key] = value
+    return terms
+
+
+def _subsets(r: int, size: int | None) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(members, the others, parity) per subset of range(r), in Slater key order.
+
+    Subsets of one size come lexicographically; with ``size`` None every
+    size comes, each subset after its own extensions, because the slot that
+    follows a mode's last slot in a key sorts after every slot of that
+    mode.  The parity is that of the count, over the members, of the
+    others before each.
+    """
+    sizes = range(r + 1) if size is None else (size,)
+    chosen = [members for count in sizes for members in combinations(range(r), count)]
+    if size is None:
+        chosen.sort(key=lambda members: members + (r,))
+    return [
+        (
+            members,
+            tuple(i for i in range(r) if i not in members),
+            (sum(members) - len(members) * (len(members) - 1) // 2) & 1,
+        )
+        for members in chosen
+    ]
 
 
 def state_norm(state: ManyBodyState) -> float:
@@ -379,13 +443,12 @@ def permute_slots(state: ManyBodyState, perm: Sequence[int]) -> ManyBodyState:
 
 def render_term(term: ProductTerm) -> str:
     """Text form of a term, e.g. ``phi psi v`` or ``phi(1) psi(2) v(1)``."""
-    parts = []
-    for slot in term:
-        if slot.q is None:
-            parts.append(slot.mode.label)
-        else:
-            parts.append(f"{slot.mode.label}({slot.q})")
-    return " ".join(parts)
+    return " ".join(map(_slot_text, term))
+
+
+@cache
+def _slot_text(slot: SingleParticleState) -> str:
+    return slot.mode.label if slot.q is None else f"{slot.mode.label}({slot.q})"
 
 
 _TOKEN_RE = re.compile(r"^(phi|psi|v|u)(?:\((\d+)\))?$")

@@ -150,6 +150,23 @@ def test_format_complex_compact_forms():
     assert format_complex(0.3 + 0.1j) == "0.3+0.1i"
 
 
+@pytest.mark.parametrize(
+    "z,twin",
+    [
+        (0j, 0j),
+        (-0j, 0j),
+        (complex(-0.0, 0.0), 0j),
+        (complex(0.0, -0.0), 0j),
+        (complex(-0.0, 0.5), complex(0.0, 0.5)),
+        (complex(0.5, -0.0), complex(0.5, 0.0)),
+    ],
+)
+def test_format_complex_prints_a_negative_zero_part_as_zero(z, twin):
+    # Writers that share one text among amounts equal under == rely on this.
+    assert z == twin
+    assert format_complex(z) == format_complex(twin)
+
+
 def test_format_form():
     assert format_form(AmplitudeForm()) == "0"
     assert format_form(AmplitudeForm(ca=0.5, cb=0.5)) == "0.5*sa + 0.5*sb"

@@ -549,6 +549,28 @@ def test_a_fermion_point_builds_one_first_quantized_state(monkeypatch, point):
     assert evaluators["oracle"](1, 1) == pytest.approx(evaluators["firstq"](1, 1), abs=1e-12)
 
 
+def test_paths_builds_only_the_source_sector(monkeypatch, capsys):
+    # The paths_provenance point: 560 of the 6,561 input terms can reach the destination.
+    sizes = []
+
+    def counted(*args, build=cli.coherent_initial_state, **kwargs):
+        state = build(*args, **kwargs)
+        sizes.append(len(state.terms))
+        return state
+
+    monkeypatch.setattr(cli, "coherent_initial_state", counted)
+    point = ("--experiment", "type2", "--statistics", "fermion", "--n", "8", "--epsilon", "0.2")
+    code, out, _ = run_cli(capsys, "paths", *point, "phi phi psi psi v v v u")
+    assert code == 0
+    assert sizes == [560]
+    assert out.endswith("matched destinations: 1680, paths: 10080\n")
+    # With no u slot the source sector is empty, and the listing stays.
+    code, out, _ = run_cli(capsys, "paths", *point, "phi phi psi psi v v v v")
+    assert code == 0
+    assert sizes == [560, 0]
+    assert out == "destination: phi phi psi psi v v v v\npaths: 0\ntotal: 0 = 0 at sa=1, sb=1\n"
+
+
 def test_paths_boson_worked_example(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from mixbench.engine import (
     PROCESS_B,
     apply_first_order,
     path_report,
+    source_sector,
     sources_into,
 )
 from mixbench.states import (
@@ -223,12 +225,63 @@ def test_a_blocked_or_unreachable_sector_keeps_no_path():
 def test_sources_into_pins_the_size_of_the_benchmark_listing():
     # The paths_provenance point: type2 fermion, n = 8, eps = 0.2.
     state = coherent_initial_state(8, 0.2, Statistics.FERMION)
-    sources = sources_into(state, parse_term("phi phi psi psi v v v u"))
+    destination = parse_term("phi phi psi psi v v v u")
+    sources = sources_into(state, destination)
     assert len(sources.terms) == 560
+    built = coherent_initial_state(
+        8, 0.2, Statistics.FERMION, sector=source_sector(destination)
+    )
+    assert list(built.terms.items()) == list(sources.terms.items())
     kept = apply_first_order(sources)
     assert (len(kept.paths), len(kept.final_state.terms)) == (10_080, 1_680)
     full = apply_first_order(state)
     assert (len(full.paths), len(full.final_state.terms)) == (81_648, 16_472)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, 1 / 3, 0.5])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_sector_build_is_the_sources_of_the_whole_state(n, epsilon, statistics):
+    # Same keys in the same order and each value's bits, signed zeros included.
+    full = coherent_initial_state(n, epsilon, statistics)
+    for m in range(n + 1):
+        for k in range(n - m + 1):
+            sector = SectorSpec(m, k, n - m - k, 0)
+            built = coherent_initial_state(n, epsilon, statistics, sector=sector)
+            if m and k:
+                modes = (PHI,) * (m - 1) + (PSI,) * (k - 1) + (V,) * (n - m - k + 1) + (U,)
+                destination = b(*modes)
+                assert source_sector(destination) == sector
+                expected = sources_into(full, destination).terms
+            else:  # no destination is fed by a sector without a phi and a psi
+                expected = {t: value for t, value in full.terms.items() if sector_of(t) == sector}
+            assert list(built.terms) == list(expected)
+            assert [repr(value) for value in built.terms.values()] == [
+                repr(value) for value in expected.values()
+            ]
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+def test_a_sector_outside_the_coherent_input_builds_nothing(statistics):
+    for sector in (SectorSpec(1, 1, 0, 1), SectorSpec(1, 1, 0, 0), SectorSpec(2, 2, -1, 0)):
+        state = coherent_initial_state(3, 0.2, statistics, sector=sector)
+        assert state == (statistics, 3, {})
+
+
+def test_the_state_builders_leave_no_garbage_cycle():
+    # A cycle would hold each terms dict until the cyclic collector runs,
+    # which shows in the peak memory of a long run.
+    gc.collect()
+    gc.disable()
+    try:
+        for statistics in Statistics:
+            for sector in (None, SectorSpec(3, 3, 2, 0)):
+                state = coherent_initial_state(8, 0.2, statistics, sector=sector)
+                assert state.terms
+                del state
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sector_amplitude_splits_the_norm():

@@ -70,6 +70,21 @@ CASES = [
          "--epsilon", "0.2", "phi psi v v u", "--format", "json"],
     ),
     (
+        "type2_paths_fermion.txt",
+        ["paths", "--experiment", "type2", "--statistics", "fermion", "--n", "5",
+         "--epsilon", "0.2", "phi psi v v u"],
+    ),
+    (
+        "type2_paths_boson.txt",
+        ["paths", "--experiment", "type2", "--statistics", "boson", "--n", "5",
+         "--epsilon", "0.2", "phi psi v v u"],
+    ),
+    (
+        "type2_paths_boson.json",
+        ["paths", "--experiment", "type2", "--statistics", "boson", "--n", "5",
+         "--epsilon", "0.2", "phi psi v v u", "--format", "json"],
+    ),
+    (
         "type1_run_fermion_table.txt",
         ["run", "--experiment", "type1", "--statistics", "fermion", "--n1", "1:3", "--n2", "1:3",
          "--n3", "0:1", "--sa=0.3+0.1i", "--sb=-0.7+0.2i"],

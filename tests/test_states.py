@@ -226,6 +226,8 @@ def test_project_sector_selects_terms():
         ("phi psi v", b(PHI, PSI, V)),
         ("v v u", b(V, V, U)),
         ("phi(1) psi(2) v(1)", f((PHI, 1), (PSI, 2), (V, 1))),
+        ("phi psi(3) v u", (*b(PHI), *f((PSI, 3)), *b(V, U))),
+        ("phi(10) psi(12) v(1) u(100)", f((PHI, 10), (PSI, 12), (V, 1), (U, 100))),
     ],
 )
 def test_parse_and_render_term_round_trip(text, term):
