@@ -24,20 +24,21 @@ loop leaves one ``[ca, cb, key]`` sum per destination key.
 
 The source state holds plain complex coefficients and the result holds
 ``(ca, cb)`` pairs: ca collects process A's paths and cb process B's, so a
-final coefficient is ``ca*sa + cb*sb``.  ``ScatterResult.coefficients``
-reads the pruned pairs from the sums in canonical order; ``final_state``
-decodes each key to its slots and builds a ``ScatteredState`` of one
-validated ``AmplitudeForm`` per final term only when it is first read.
-Scattering a scattered state fails with ``TypeError``: a path multiplies
-its source coefficient by its sign, and a form is no number.  With
-``paths=True`` (the default) a path is kept as a plain tuple of ints, its
-value and its destination's sum; its ``PathRecord`` is built when
-``ScatterResult.paths`` is first read, and its own form only when its
-``contribution`` is read.  With ``paths=False`` the loop keeps no record at
-all, for callers such as ``run`` and ``verify`` that need only the
-coefficients.  ``oracle`` also codes fermions as bitmasks, but ranks and
-signs them with its own ladder-operator loop; the two routes share no
-scattering code, so each checks the other.
+final coefficient is ``ca*sa + cb*sb``.  ``ScatterResult.sums`` is the
+result's one output: the sums sorted once into canonical term order, exact
+zeros pruned.  ``coefficients`` lists their pairs; ``final_state`` decodes
+each key to its slots and builds a ``ScatteredState`` of one validated
+``AmplitudeForm`` per final term only when it is first read.  Scattering
+a scattered state fails with ``TypeError``: a path multiplies its source
+coefficient by its sign, and a form is no number.  With ``paths=True``
+(the default) a path is kept as a plain tuple of ints, its value and its
+destination's sum; its ``PathRecord`` is built when ``ScatterResult.paths``
+is first read, and its own form only when its ``contribution`` is read.
+With ``paths=False`` the loop keeps no record at all, for callers such as
+``run`` and ``verify`` that need only the coefficients.  ``oracle`` also
+codes fermions as bitmasks, but ranks and signs them with its own
+ladder-operator loop; the two routes share no scattering code, so each
+checks the other.
 
 The scattered norm is ``coefficient_norm(result.coefficients, sa, sb)``,
 which builds no final state.
@@ -57,7 +58,8 @@ from __future__ import annotations
 
 from cmath import isfinite
 from functools import cache, cached_property
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .amplitudes import AmplitudeForm, ensure_finite
 from .states import (
@@ -132,14 +134,13 @@ class ScatteredState(NamedTuple):
 class ScatterResult:
     """The scattered ``(ca, cb)`` coefficients and the provenance of every path into them.
 
-    The scatter leaves one ``[ca, cb, key]`` sum per destination, keyed by
-    an int: the packed codes of a bosonic term, whose ascending order is
-    canonical term order, or the bitmask of a fermionic one, whose
-    descending order is.  ``coefficients`` reads the pruned ``(ca, cb)``
-    pairs from these sums in that order and builds no term or form.
-    ``final_state`` is built on its first read: it decodes every key to its
-    term, builds a ``ScatteredState`` of one validated form per final term
-    and drops the sums.
+    ``sums`` is the result's one output: a ``[ca, cb, key]`` list per final
+    term, in canonical term order, a term whose ca and cb are both exact
+    zeros left out.  A key is an int: the packed codes of a bosonic term,
+    listed ascending, or the bitmask of a fermionic one, listed descending.
+    Every view reads ``sums``: ``coefficients`` lists its ``(ca, cb)``
+    pairs, and ``final_state`` and ``paths`` decode each key to its term
+    once, through one cached decoder.
 
     A result built with records holds each path as a compact tuple
     ``(source index, component, phi slot, psi slot, sign, value, sum)``;
@@ -158,40 +159,30 @@ class ScatterResult:
     ) -> None:
         self._source = source
         self._records = records
-        self._sums = sums
         self._width = width
-        self._decoded = False
         # Descending fermion masks are ascending Slater keys.
-        self._descending = source.statistics is Statistics.FERMION
+        descending = source.statistics is Statistics.FERMION
+        ordered = sorted(sums.values(), key=itemgetter(2), reverse=descending)
+        self.sums = [total for total in ordered if total[0] != 0 or total[1] != 0]
 
     @property
     def coefficients(self) -> list[tuple[complex, complex]]:
-        """The final state's ``(ca, cb)`` pairs in canonical term order, built on each read.
+        """The ``(ca, cb)`` pairs of ``sums``, built on each read.
 
-        Exact zeros are pruned as in ``final_state``, and a sum that is not
-        finite raises the ``ValueError`` its form would.
+        A sum that is not finite raises the ``ValueError`` its form would.
         """
-        if "final_state" in self.__dict__:
-            return [(form.ca, form.cb) for form in self.final_state.terms.values()]
         pairs = []
-        for key in sorted(self._sums, reverse=self._descending):
-            ca, cb, _ = self._sums[key]
-            if ca != 0 or cb != 0:
-                if not (isfinite(ca) and isfinite(cb)):
-                    ensure_finite(ca, "ca")
-                    ensure_finite(cb, "cb")
-                pairs.append((ca, cb))
+        for ca, cb, _ in self.sums:
+            if not (isfinite(ca) and isfinite(cb)):
+                ensure_finite(ca, "ca")
+                ensure_finite(cb, "cb")
+            pairs.append((ca, cb))
         return pairs
 
     @cached_property
     def final_state(self) -> ScatteredState:
-        self._decode()
-        sums, final = self._sums, {}
-        for key in sorted(sums, reverse=self._descending):
-            ca, cb, term = sums[key]
-            if ca != 0 or cb != 0:
-                final[term] = AmplitudeForm(ca=ca, cb=cb)
-        del self._sums
+        term_of = self._term_of
+        final = {term_of(key): AmplitudeForm(ca=ca, cb=cb) for ca, cb, key in self.sums}
         return ScatteredState(self._source.statistics, self._source.n, final)
 
     @cached_property
@@ -199,7 +190,7 @@ class ScatterResult:
         records = self._records
         if records is None:
             return apply_first_order(self._source).paths
-        self._decode()
+        term_of = self._term_of
         sources = tuple(self._source.terms)
         built: list = [None] * len(records)
         # Pop each compact record as its PathRecord is made, so the two
@@ -207,38 +198,37 @@ class ScatterResult:
         for at in range(len(records) - 1, -1, -1):
             index, component, i, j, sign, value, total = records.pop()
             built[at] = PathRecord(
-                sources[index], _PROCESSES[component], i, j, sign, value, total[2]
+                sources[index], _PROCESSES[component], i, j, sign, value, term_of(total[2])
             )
         return tuple(built)
 
-    def _decode(self) -> None:
-        """Replace the key in every sum by its term, once; records share the sums."""
-        if self._decoded:
-            return
-        width = self._width
+    @cached_property
+    def _term_of(self) -> Callable[[int], ProductTerm]:
+        """The key-to-term decoder, cached so that each key is decoded once."""
+        width, n = self._width, self._source.n
+        fermion = self._source.statistics is Statistics.FERMION
+        base, top = 4 * width, 4 * width - 1
         table = [
-            SingleParticleState(Mode(code // width), code % width or None)
-            for code in range(4 * width)
+            SingleParticleState(Mode(code // width), code % width or None) for code in range(base)
         ]
-        if self._descending:
-            # Highest bit first: that is the lowest code, as in a Slater key.
-            top = 4 * width - 1
-            for total in self._sums.values():
-                mask, term = total[2], []
-                while mask:
-                    bit = mask.bit_length() - 1
+
+        @cache
+        def term_of(key: int) -> ProductTerm:
+            if fermion:
+                # Highest bit first: that is the lowest code, as in a Slater key.
+                term = []
+                while key:
+                    bit = key.bit_length() - 1
                     term.append(table[top - bit])
-                    mask ^= 1 << bit
-                total[2] = tuple(term)
-        else:
-            base, n = 4 * width, self._source.n
-            for total in self._sums.values():
-                packed, term = total[2], [None] * n
-                for at in range(n - 1, -1, -1):
-                    packed, code = divmod(packed, base)
-                    term[at] = table[code]
-                total[2] = tuple(term)
-        self._decoded = True
+                    key ^= 1 << bit
+                return tuple(term)
+            term = [None] * n
+            for at in range(n - 1, -1, -1):
+                key, code = divmod(key, base)
+                term[at] = table[code]
+            return tuple(term)
+
+        return term_of
 
 
 def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterResult:
@@ -248,14 +238,14 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     slot, both processes are attempted.  A fermionic path is blocked (emits
     nothing) when the destination single-particle state is already occupied
     in the source term.  Bosonic paths are never blocked.  Each
-    destination's ca and cb are summed in path order; the final state lists
-    the destinations in canonical term order, exact zeros pruned.  A
+    destination's ca and cb are summed in path order; the result's ``sums``
+    list the destinations in canonical term order, exact zeros pruned.  A
     fermionic key that is not canonical, or whose q labels are not ints
     >= 1, raises ``ValueError``.
 
-    ``paths=False`` keeps no per-path record; the final state is the same,
-    bit for bit.  Reading ``.paths`` on such a result then re-runs this
-    scatter once with records.
+    ``paths=False`` keeps no per-path record; the sums are the same, bit for
+    bit.  Reading ``.paths`` on such a result then re-runs this scatter once
+    with records.
     """
     if state.statistics is Statistics.FERMION:
         return _scatter_fermions(state, paths)
@@ -432,7 +422,9 @@ def path_report(
     no q labels selects every labelled destination of its sector, in
     rendered order, or maps to itself with no paths when no path lands in
     that sector, as when all are Pauli blocked.  Paths are ordered by
-    (source term rendering, process, slots).
+    (source term rendering, process, slots): a stable sort on the first two
+    keeps the scatter's order, which is slot order within one source and
+    process.
     """
     by_destination: dict[ProductTerm, list[PathRecord]] = {}
     for path in result.paths:
@@ -449,8 +441,7 @@ def path_report(
     text = cache(render_term)  # each source rendered once per call
     return {
         dest: sorted(
-            by_destination.get(dest, ()),
-            key=lambda p: (text(p.source_term), p.process, p.phi_slot, p.psi_slot),
+            by_destination.get(dest, ()), key=lambda p: (text(p.source_term), p.process)
         )
         for dest in matches
     }

@@ -25,7 +25,7 @@ import re
 from enum import Enum, IntEnum
 from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "ManyBodyState",
@@ -45,7 +45,6 @@ __all__ = [
     "l2_norm",
     "make_state",
     "parse_term",
-    "permute_slots",
     "render_term",
     "sector_of",
     "state_norm",
@@ -425,20 +424,6 @@ def l2_norm(values: Iterable[complex]) -> float:
     for value in values:
         total += abs(value) ** 2
     return math.sqrt(total)
-
-
-def permute_slots(state: ManyBodyState, perm: Sequence[int]) -> ManyBodyState:
-    """Relabel particle slots: new term[i] = old term[perm[i]].
-
-    Bosonic states built by symmetrize are invariant; fermionic states pick
-    up the permutation parity as a global sign.
-    """
-    if sorted(perm) != list(range(state.n)):
-        raise ValueError("perm must be a permutation of range(n)")
-    entries = [
-        (tuple(term[p] for p in perm), value) for term, value in state.terms.items()
-    ]
-    return make_state(state.statistics, state.n, entries)
 
 
 def render_term(term: ProductTerm) -> str:

