@@ -19,7 +19,7 @@ from itertools import product
 from typing import NamedTuple
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 # bench/tracing.py times the layers by replacing the functions imported below,
 # and json, by name on this module: call them through these globals, and
@@ -184,6 +184,12 @@ class FockPoint(NamedTuple):
             return partial(fock_boson_amplitude, *self)
         return partial(fock_fermion_amplitude, *self)
 
+    def paths(self, statistics: Statistics) -> int:
+        """The paths the point's first-quantized scatter attempts, counted exactly."""
+        if statistics is Statistics.BOSON:
+            return 2 * fock_counts(*self).process_terms
+        return 2 * self.n1 * self.n2  # one Slater key
+
     def divergence_note(self, statistics: Statistics) -> str | None:
         if statistics is Statistics.FERMION:
             case = fock_fermion_case(*self)
@@ -226,6 +232,20 @@ class CoherentPoint(NamedTuple):
 
     def closed_form(self, statistics: Statistics) -> Evaluator:
         return partial(coherent_amplitude, *self)
+
+    def paths(self, statistics: Statistics) -> int:
+        """The paths the point's first-quantized scatter attempts, counted exactly.
+
+        A fermion point counts them twice: its oracle walks the same 3^n terms.
+        """
+        n, epsilon = self
+        paths = 0
+        for m in range(n + 1):
+            for k in range(n - m + 1):
+                counts = coherent_counts(n, m, k, epsilon)
+                if counts.group_amplitude != 0:  # epsilon = 0 keeps only m + k = n
+                    paths += 2 * counts.process_terms
+        return paths if statistics is Statistics.BOSON else 2 * paths
 
     def divergence_note(self, statistics: Statistics) -> str | None:
         return None
@@ -488,6 +508,91 @@ def evaluate_point(
     )
 
 
+def point_records(
+    statistics: Statistics,
+    point: Point,
+    requested: tuple[str, ...] | None,
+    cap: int,
+    pairs: tuple[tuple[complex, complex], ...],
+    tolerance: float,
+) -> list[VerificationRecord]:
+    """One point's records, one per (sa, sb) pair, from evaluators built once."""
+    evaluators = point_evaluators(statistics, point, engines_for(statistics, point, requested, cap))
+    return [evaluate_point(statistics, point, sa, sb, evaluators, tolerance) for sa, sb in pairs]
+
+
+# What a pool of forked workers costs, in paths the serial loop would
+# scatter in the same time (about 1 us a path over verify --nmax 8).  On two
+# CPUs a pooled grid of two equal boson type1 points ends about 19 ms after
+# one of them alone would: (3,3,2) twice took 30 ms against 10.5 ms a point,
+# and (3,3,3) twice 48 ms against 30 ms.  A grid fans out only when the
+# paths of all its points but the costliest exceed that start.  A task
+# costs about 0.35 ms more to send and collect, so consecutive points share
+# one until it holds as many paths.
+POOL_MIN_PATHS = 20_000
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _map_points(
+    work: Callable,
+    statistics: list[Statistics],
+    points: list[Point],
+    requested: tuple[str, ...] | None,
+) -> Iterable[list[VerificationRecord]]:
+    """``work`` on each (statistics, point) pair, with its results in grid order.
+
+    A grid of two or more points that scatter, on a machine that can fork
+    and lets this process run on two or more CPUs, runs in a pool of forked
+    workers, one per CPU, when its predicted paths less its costliest
+    point's exceed ``POOL_MIN_PATHS``; any other grid runs here.  The
+    pool's tasks run the costliest first.  The first point, in grid order,
+    whose work raises re-raises here, as in the serial loop, and the tasks
+    still queued are cancelled.
+    """
+    workers = min(_available_cpus(), len(points))
+    scatters = requested is None or not EXACT_ENGINES.isdisjoint(requested)
+    if workers < 2 or not scatters or not hasattr(os, "fork"):
+        return map(work, statistics, points)
+    costs = [point.paths(stats) for stats, point in zip(statistics, points)]
+    if sum(costs) - max(costs) <= POOL_MIN_PATHS:
+        return map(work, statistics, points)
+
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # A task is a run of consecutive points, [paths, start, stop], closed
+    # once it holds POOL_MIN_PATHS paths; a point that holds them alone is a
+    # task of its own.  Within a task the points run in grid order, so the
+    # first to raise is the one the serial loop would have raised.
+    tasks: list[list[int]] = []
+    for at, cost in enumerate(costs):
+        if not tasks or tasks[-1][0] >= POOL_MIN_PATHS or cost >= POOL_MIN_PATHS:
+            tasks.append([0, at, at])
+        tasks[-1][0] += cost
+        tasks[-1][2] = at + 1
+    # multiprocessing flushes sys.stdout and sys.stderr before each fork, so
+    # no worker holds output of this process to write a second time.
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    try:
+        futures = {
+            start: pool.submit(_run_task, work, statistics[start:stop], points[start:stop])
+            for _, start, stop in sorted(tasks, reverse=True)
+        }
+        return [records for _, start, _ in tasks for records in futures[start].result()]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_task(work: Callable, statistics: list[Statistics], points: list[Point]) -> list:
+    return list(map(work, statistics, points))
+
+
 def grid_records(
     grids: list[tuple[Statistics, list[Point]]],
     requested: tuple[str, ...] | None,
@@ -496,17 +601,17 @@ def grid_records(
 ) -> list[VerificationRecord]:
     """Walk (statistics, points) grids: one record per point and (sa, sb) pair.
 
-    Each point's evaluators are built once and shared by its pairs.
+    Each point's evaluators are built once and shared by its pairs.  A grid
+    worth more than starting a pool runs its points in forked workers, one
+    per available CPU; the records come back in grid order either way.
     """
-    cap = nmax_cap()
-    records = []
-    for statistics, points in grids:
-        for point in points:
-            engines = engines_for(statistics, point, requested, cap)
-            evaluators = point_evaluators(statistics, point, engines)
-            for sa, sb in pairs:
-                records.append(evaluate_point(statistics, point, sa, sb, evaluators, tolerance))
-    return records
+    work = partial(
+        point_records, requested=requested, cap=nmax_cap(), pairs=pairs, tolerance=tolerance
+    )
+    statistics = [stats for stats, points in grids for _ in points]
+    points = [point for _, grid in grids for point in grid]
+    per_point = _map_points(work, statistics, points, requested)
+    return [record for records in per_point for record in records]
 
 
 def run_records(cfg: RunConfig) -> list[VerificationRecord]:

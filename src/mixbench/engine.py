@@ -159,6 +159,8 @@ class ScatterResult:
     ) -> None:
         self._source = source
         self._records = records
+        # Every destination a record can point at, pruned ones included.
+        self._destinations = None if records is None else list(sums)
         self._width = width
         # Descending fermion masks are ascending Slater keys.
         descending = source.statistics is Statistics.FERMION
@@ -191,6 +193,7 @@ class ScatterResult:
         if records is None:
             return apply_first_order(self._source).paths
         term_of = self._term_of
+        term_at = {key: term_of(key) for key in self._destinations}  # each decoded once
         sources = tuple(self._source.terms)
         built: list = [None] * len(records)
         # Pop each compact record as its PathRecord is made, so the two
@@ -198,7 +201,7 @@ class ScatterResult:
         for at in range(len(records) - 1, -1, -1):
             index, component, i, j, sign, value, total = records.pop()
             built[at] = PathRecord(
-                sources[index], _PROCESSES[component], i, j, sign, value, term_of(total[2])
+                sources[index], _PROCESSES[component], i, j, sign, value, term_at[total[2]]
             )
         return tuple(built)
 

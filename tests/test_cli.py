@@ -3,7 +3,12 @@ import gc
 import io
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -248,32 +253,168 @@ def test_usage_errors_exit_two(capsys, argv):
     assert err.startswith(("error:", "usage: mixbench"))
 
 
+def force_pool(monkeypatch, pooled):
+    """Open or shut the pool gate for every grid, however small; open needs fork and two CPUs."""
+    if pooled and (not hasattr(os, "fork") or cli._available_cpus() < 2):
+        pytest.skip("a pool needs fork and two CPUs")
+    monkeypatch.setattr(cli, "POOL_MIN_PATHS", -1 if pooled else math.inf)
+
+
+def log_calls(monkeypatch, name, log):
+    """Append the pid and paths flag of each call of cli.<name> to a file.
+
+    A file, because a pool worker's calls would not reach a list of this process.
+    """
+    wrapped = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {kwargs.get('paths', True)}\n")
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+
+
+def logged_calls(log):
+    """(pid, paths flag) of each logged call."""
+    if not log.exists():
+        return []
+    return [(int(pid), flag == "True") for pid, flag in map(str.split, log.read_text().splitlines())]
+
+
+RUN_GRID = ("run", "--experiment", "type1", "--statistics", "boson",
+            "--n1", "2", "--n2", "1:2", "--n3", "1")
+VERIFY_3 = ("verify", "--nmax", "3", "--out", "report.json")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,pooled",
     [
-        ("run", "--experiment", "type1", "--statistics", "boson",
-         "--n1", "2", "--n2", "1:2", "--n3", "1"),
-        ("verify", "--nmax", "3", "--out", "report.json"),
-        ("paths", "--experiment", "type2", "--statistics", "fermion",
-         "--n", "3", "--epsilon", "0.2", "phi v u"),
+        pytest.param(RUN_GRID, False, id="argv0"),
+        pytest.param(VERIFY_3, False, id="argv1"),
+        pytest.param(
+            ("paths", "--experiment", "type2", "--statistics", "fermion",
+             "--n", "3", "--epsilon", "0.2", "phi v u"),
+            False,
+            id="argv2",
+        ),
+        pytest.param(RUN_GRID, True, id="run-pooled"),
+        pytest.param(VERIFY_3, True, id="verify-pooled"),
     ],
 )
-def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv):
-    seen = []
-    scatter = cli.apply_first_order
-
-    def spy(state, **kwargs):
-        seen.append(kwargs.get("paths", True))
-        return scatter(state, **kwargs)
-
-    monkeypatch.setattr(cli, "apply_first_order", spy)
+def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv, pooled):
+    force_pool(monkeypatch, pooled)
+    log_calls(monkeypatch, "apply_first_order", tmp_path / "scatters.log")
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
+    calls = logged_calls(tmp_path / "scatters.log")
+    seen = [flag for _, flag in calls]
     if argv[0] == "paths":
         assert seen == [True]  # one scatter, whose records the listing reads
     else:
         assert seen and not any(seen)
+    # A pooled grid scatters only in workers; a serial one only here.
+    assert {pid != os.getpid() for pid, _ in calls} == {pooled}
+    assert multiprocessing.active_children() == []
+
+
+POOL_CASES = [
+    ("verify", "--nmax", "5", "--out", "report.json"),
+    ("run", "--experiment", "type2", "--statistics", "fermion", "--n", "2:4",
+     "--epsilon", "0,0.2", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"),
+    ("run", "--experiment", "type1", "--statistics", "boson", "--n1", "1:3", "--n2", "1:3",
+     "--n3", "0:2", "--format", "csv"),
+    # From (1,3,2) on most points overflow, the costliest (3,3,2) among them:
+    # the pool reports the first in grid order, as the serial loop does.
+    ("run", "--experiment", "type1", "--statistics", "boson", "--n1", "1:3", "--n2", "1:3",
+     "--n3", "0:2", "--sa=5e153"),
+]
+
+
+@pytest.mark.parametrize("argv", POOL_CASES)
+def test_a_pooled_grid_gives_the_serial_bytes(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    log_calls(monkeypatch, "engines_for", tmp_path / "points.log")
+    results = []
+    for pooled in (False, True):
+        force_pool(monkeypatch, pooled)
+        code, out, err = run_cli(capsys, *argv)
+        report = (tmp_path / "report.json").read_bytes() if argv[0] == "verify" else None
+        results.append((code, out, err, report))
+        assert multiprocessing.active_children() == []
+    assert results[0] == results[1]
+    pids = [pid for pid, _ in logged_calls(tmp_path / "points.log")]
+    assert os.getpid() in pids and set(pids) - {os.getpid()}  # it did run in workers
+    if "--sa=5e153" in argv:
+        assert results[0][:3] == (
+            2,
+            "",
+            "error: --sa/--sb too large: sA=5e+153, sB=1 overflow the amplitude"
+            " at n1=1 n2=3 n3=2\n",
+        )
+
+
+def test_a_pooled_grid_leaves_buffered_output_to_this_process(tmp_path):
+    """Output still buffered when the workers fork is written once, not once per worker."""
+    if not hasattr(os, "fork") or cli._available_cpus() < 2:
+        pytest.skip("a pool needs fork and two CPUs")
+    snippet = (
+        "import os, resource, sys\n"
+        "from mixbench import cli\n"
+        "cli.POOL_MIN_PATHS = -1\n"
+        "sys.stdout.write('pending ')\n"
+        f"code = cli.main({[*RUN_GRID, '--out', os.devnull]!r})\n"
+        "sys.stderr.write(f'forked: {resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0}')\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "pending ", "forked: True")
+
+
+def test_one_cpu_runs_the_grid_in_this_process(capsys, monkeypatch, tmp_path):
+    force_pool(monkeypatch, True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    log_calls(monkeypatch, "engines_for", tmp_path / "points.log")
+    code, _, _ = run_cli(capsys, *RUN_GRID)
+    assert code == 0
+    assert {pid for pid, _ in logged_calls(tmp_path / "points.log")} == {os.getpid()}
+
+
+def test_without_an_affinity_mask_the_cpu_count_sizes_the_pool(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._available_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._available_cpus() == 1
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize(
+    "point",
+    [
+        cli.FockPoint(1, 1, 0),
+        cli.FockPoint(3, 2, 1),
+        cli.FockPoint(2, 3, 4),
+        cli.CoherentPoint(2, 0.0),
+        cli.CoherentPoint(4, 0.0),
+        cli.CoherentPoint(4, 0.2),
+        cli.CoherentPoint(5, 0.5),
+    ],
+)
+def test_point_paths_count_what_the_scatter_attempts(statistics, point):
+    """Each term tries both processes on every (phi slot, psi slot) pair."""
+    state = point.first_quantized(statistics)
+    attempted = 0
+    for term in state.terms:
+        modes = [slot.mode for slot in term]
+        attempted += 2 * modes.count(Mode.PHI) * modes.count(Mode.PSI)
+    # A type2 fermion point's oracle walks the same terms once more.
+    passes = 2 if statistics is Statistics.FERMION and point.experiment == "type2" else 1
+    assert point.paths(statistics) == passes * attempted
 
 
 SIGNED_ZERO_PAIRS = [

@@ -497,6 +497,17 @@ def test_paths_are_built_once_and_leave_the_final_state_alone():
             assert forms_by_repr(read["final_state"].terms) == expected_terms
 
 
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_paths_decode_each_destination_once(statistics):
+    for state in (coherent_initial_state(4, 0.2, statistics), cancelling_state(statistics)):
+        result = apply_first_order(state)
+        destinations = {path.destination_term for path in result.paths}
+        decoded = result._term_of.cache_info()
+        assert (decoded.misses, decoded.hits) == (len(destinations), 0)
+    # The cancelled destination is decoded for its paths, though pruned from the state.
+    assert set(result.final_state.terms) < destinations
+
+
 @pytest.mark.parametrize("n1,n2,n3", [(1, 1, 1), (3, 2, 1), (4, 4, 2), (2, 5, 3)])
 def test_path_count_is_the_unblocked_count(n1, n2, n3):
     # Process A on (phi q, psi q') needs v(q) free, so q > n3; process B

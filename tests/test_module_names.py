@@ -148,6 +148,34 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert {"dataclasses", "inspect"} & set(added.split()) == set()
 
 
+def test_neither_the_import_nor_a_one_point_run_loads_the_pool():
+    """The pool's modules are imported only for a grid that fans out."""
+    snippet = (
+        "import os, sys\n"
+        "before = set(sys.modules)\n"
+        "import mixbench.cli\n"
+        "imported = set(sys.modules) - before\n"
+        "code = mixbench.cli.main(['run', '--experiment', 'type1', '--statistics', 'boson',"
+        " '--n1', '3', '--n2', '3', '--n3', '2', '--out', os.devnull])\n"
+        "ran = set(sys.modules) - before\n"
+        "print(code, mixbench.cli.__file__)\n"
+        "print(' '.join(sorted(imported)))\n"
+        "print(' '.join(sorted(ran)))\n"
+    )
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, env=env, check=True
+    )
+    status, imported, ran = proc.stdout.splitlines()
+    assert status == f"0 {src}{os.sep}mixbench{os.sep}cli.py"
+    pool = {"multiprocessing", "concurrent", "concurrent.futures"}
+    assert "mixbench.cli" in imported.split()
+    assert pool & set(imported.split()) == set()
+    assert pool & set(ran.split()) == set()
+
+
 @pytest.mark.parametrize("module", ["states", "oracle"])
 def test_unscattered_stages_do_not_import_amplitudes(module):
     """Initial states and the oracle hold plain complex; only engine builds scattered forms."""
