@@ -31,7 +31,6 @@ from .engine import (
     apply_first_order,
     path_report,
     source_sector,
-    sources_into,
 )
 from .formulas import (
     CROSS_CASES,
@@ -50,6 +49,7 @@ from .oracle import (
     oracle_scattered_norm,
 )
 from .states import (
+    ManyBodyState,
     ProductTerm,
     SectorSpec,
     Statistics,
@@ -173,7 +173,9 @@ class FockPoint(NamedTuple):
         return fock_initial_state(*self, statistics)
 
     def sector_state(self, statistics: Statistics, sector: SectorSpec):
-        """All of the input, whose one sector ``sources_into`` keeps or drops whole."""
+        """Only the sector's terms of the input: all of it in (n1, n2, n3, 0), else none."""
+        if sector != (*self, 0):
+            return ManyBodyState(statistics, self.n, {})
         return fock_initial_state(*self, statistics)
 
     def occupation(self, statistics: Statistics):
@@ -364,9 +366,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from None
     points = [point_type(*values) for values in product(*grids)]
 
+    # A setting left out reads the default; an empty one is malformed.
+    sa_text, sb_text = pick("sa"), pick("sb")
     try:
-        sa = parse_complex(pick("sa") or "1")
-        sb = parse_complex(pick("sb") or "1")
+        sa = parse_complex("1" if sa_text is None else sa_text)
+        sb = parse_complex("1" if sb_text is None else sb_text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -378,8 +382,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if bad or not engines:
             raise UsageError(f"--engines accepts a comma list from {', '.join(ALL_ENGINES)}")
 
-    fmt = pick("format") or "table"
-    if fmt not in ("table", "csv", "json"):
+    fmt = pick("format")
+    if fmt is None:
+        fmt = "table"
+    elif fmt not in ("table", "csv", "json"):
         raise UsageError("--format must be table, csv or json")
 
     return RunConfig(
@@ -800,9 +806,8 @@ def _do_run(args: argparse.Namespace) -> int:
 def _check_destination(destination: ProductTerm, statistics: Statistics) -> None:
     """Reject a destination that ``path_report`` can never match or cannot canonicalize.
 
-    Bosonic slots carry no q label. A fermion destination with no q labels
-    is a sector query and may repeat slots. Any other must name each slot
-    once and label all or none of each mode's slots.
+    Bosonic slots carry no q label. A fermion destination labels every slot,
+    each once, or none, which makes it a sector query that may repeat slots.
     """
     labelled = [slot for slot in destination if slot.q is not None]
     if not labelled:
@@ -814,12 +819,8 @@ def _check_destination(destination: ProductTerm, statistics: Statistics) -> None
         if slot in seen:
             raise UsageError(f"fermion destination repeats {render_term((slot,))}")
         seen.add(slot)
-    labelled_modes = {slot.mode for slot in labelled}
-    mixed = sorted(labelled_modes & {slot.mode for slot in destination if slot.q is None})
-    if mixed:
-        raise UsageError(
-            f"fermion destination mixes labelled and unlabelled {mixed[0].label} slots"
-        )
+    if len(labelled) != len(destination):
+        raise UsageError("fermion destination must label every slot with q, or none")
 
 
 def _do_paths(args: argparse.Namespace) -> int:
@@ -839,8 +840,7 @@ def _do_paths(args: argparse.Namespace) -> int:
             f"destination has {len(destination)} slots, state has {point.n} particles"
         )
     _check_destination(destination, cfg.statistics)
-    sources = point.sector_state(cfg.statistics, source_sector(destination))
-    result = apply_first_order(sources_into(sources, destination))
+    result = apply_first_order(point.sector_state(cfg.statistics, source_sector(destination)))
     payload = []
     for dest, paths in path_report(result, destination).items():
         total = result.final_state.terms.get(dest)
@@ -991,7 +991,9 @@ def _do_verify(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--nmax must be at most {VERIFY_NMAX_LIMIT}, the largest grid verify enumerates"
         )
-    out = pick("out") or "mixbench_verify.json"
+    out = pick("out")
+    if out is None:
+        out = "mixbench_verify.json"
 
     # Open the report first, so that a path that cannot be written is refused
     # before the grid is computed.

@@ -424,15 +424,15 @@ def path_report(
     same Slater key selects the same report.  A fermionic destination with
     no q labels selects every labelled destination of its sector, in
     rendered order, or maps to itself with no paths when no path lands in
-    that sector, as when all are Pauli blocked.  Paths are ordered by
-    (source term rendering, process, slots): a stable sort on the first two
-    keeps the scatter's order, which is slot order within one source and
-    process.
+    that sector, as when all are Pauli blocked.  Paths are ordered by their
+    source term's rendering; the stable sort keeps the scatter's order
+    within one source, which is process A before B, as only the two paths
+    of one slot pair can share a source and a destination.
     """
     by_destination: dict[ProductTerm, list[PathRecord]] = {}
     for path in result.paths:
         by_destination.setdefault(path.destination_term, []).append(path)
-    if result.final_state.statistics is not Statistics.FERMION:
+    if result._source.statistics is not Statistics.FERMION:
         matches = [destination]
     elif all(slot.q is None for slot in destination):
         wanted = sector_of(destination)
@@ -443,8 +443,6 @@ def path_report(
         matches = [canonical_fermion_term(destination)[0]]
     text = cache(render_term)  # each source rendered once per call
     return {
-        dest: sorted(
-            by_destination.get(dest, ()), key=lambda p: (text(p.source_term), p.process)
-        )
+        dest: sorted(by_destination.get(dest, ()), key=lambda p: text(p.source_term))
         for dest in matches
     }

@@ -128,30 +128,17 @@ def validate_term(term: ProductTerm, statistics: Statistics) -> None:
 def canonical_fermion_term(term: ProductTerm) -> tuple[ProductTerm, int]:
     """Sort slots by (mode rank, q); return the sorted term and the parity.
 
-    The parity is the sign of the sorting permutation, +1 or -1.  A repeated
-    (mode, q) pair has no canonical form and raises PauliViolationError.
+    The parity is the sign of the sorting permutation, +1 or -1: odd when
+    the term has an odd number of inversions, pairs of slots in descending
+    order.  A repeated (mode, q) pair has no canonical form and raises
+    PauliViolationError.
     """
-    n = len(term)
-    order = sorted(range(n), key=lambda i: term[i])
-    sorted_term = tuple(term[i] for i in order)
+    sorted_term = tuple(sorted(term))
     for a, b in zip(sorted_term, sorted_term[1:]):
         if a == b:
             raise PauliViolationError(f"duplicate single-particle state {render_term((a,))}")
-    # Parity via cycle decomposition of the sorting permutation.
-    sign = 1
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sorted_term, sign
+    inversions = sum(a > b for i, a in enumerate(term) for b in term[i + 1 :])
+    return sorted_term, -1 if inversions & 1 else 1
 
 
 def is_canonical_fermion_term(term: ProductTerm) -> bool:

@@ -244,13 +244,20 @@ def test_config_file_with_cli_override(capsys, tmp_path):
          "--n1", "1", "--n2", "1", "--n3", "0", "v u", "--engines", "closed"),
         ("paths", "--experiment", "type1", "--statistics", "boson",
          "--n1", "1", "--n2", "1", "--n3", "0", "v(1) u"),
+        ("paths", "--experiment", "type1", "--statistics", "fermion",
+         "--n1", "2", "--n2", "1", "--n3", "0", "phi(2) v u"),
+        ("run", "--experiment", "type1", "--statistics", "boson",
+         "--n1", "1", "--n2", "1", "--n3", "0", "--sa", ""),
+        ("verify", "--nmax", "3", "--out", ""),
     ],
 )
-def test_usage_errors_exit_two(capsys, argv):
+def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     # Our own checks print one error line; argparse prints its usage first.
     assert err.startswith(("error:", "usage: mixbench"))
+    assert list(tmp_path.iterdir()) == []  # no report or listing left behind
 
 
 def force_pool(monkeypatch, pooled):
@@ -523,6 +530,18 @@ def test_verify_rejects_unknown_config_key(capsys, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [("sa =", "empty complex literal"), ("format =", "--format must be table, csv or json")],
+    ids=["sa", "format"],
+)
+def test_run_rejects_an_empty_config_value(capsys, tmp_path, line, message):
+    # An empty value is malformed; only a setting left out reads its default.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = type1\nstatistics = boson\nn1 = 1\nn2 = 1\nn3 = 0\n" + line)
+    assert run_cli(capsys, "run", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
+
 def test_verify_refuses_an_unwritable_out_before_computing(capsys, tmp_path, monkeypatch):
     def grid(*args):
         raise AssertionError("verify computed its grid before opening --out")
@@ -710,6 +729,29 @@ def test_paths_builds_only_the_source_sector(monkeypatch, capsys):
     assert code == 0
     assert sizes == [560, 0]
     assert out == "destination: phi phi psi psi v v v v\npaths: 0\ntotal: 0 = 0 at sa=1, sb=1\n"
+
+
+def test_paths_builds_nothing_for_an_unreachable_fock_destination(monkeypatch, capsys):
+    # A type1 input is the one sector (n1, n2, n3, 0); all-v slots need (1, 1, 13, -1).
+    builds = []
+    monkeypatch.setattr(cli, "fock_initial_state", lambda *args: builds.append(args))
+    destination = " ".join(["v"] * 14)
+    code, out, err = run_cli(
+        capsys, "paths", "--experiment", "type1", "--statistics", "boson",
+        "--n1", "5", "--n2", "5", "--n3", "4", destination,
+    )
+    assert (code, err, builds) == (0, "", [])
+    assert out == f"destination: {destination}\npaths: 0\ntotal: 0 = 0 at sa=1, sb=1\n"
+
+
+def test_paths_refuses_a_partly_labelled_fermion_destination(capsys):
+    for destination in ("phi(2) v u", "v(1) v(2) u"):
+        code, out, err = run_cli(
+            capsys, "paths", "--experiment", "type1", "--statistics", "fermion",
+            "--n1", "2", "--n2", "1", "--n3", "0", destination,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: fermion destination must label every slot with q, or none\n"
 
 
 def test_paths_boson_worked_example(capsys):
