@@ -1,4 +1,4 @@
-"""Command-line interface: single runs, sweeps, path reports, verification.
+"""Command-line interface: runs over points and grids, path reports, verification.
 
 Exit codes: 0 when everything passes (known divergences included), 1 when
 engines disagree unexpectedly, 2 on usage or configuration errors.
@@ -97,7 +97,6 @@ def nmax_cap() -> int:
 
 
 class RunConfig(NamedTuple):
-    statistics: Statistics
     points: list[Point]  # the grid, in lexicographic order of its flags
     sa: complex
     sb: complex
@@ -146,15 +145,18 @@ def parse_float_grid(text: str, name: str) -> tuple[float, ...]:
 Evaluator = Callable[[complex, complex], float]
 
 
-# One point type per experiment holds all that differs between the two. Its
-# methods reach the state builders and closed forms through this module's
-# globals, so that replacing those names on the module reaches them.
+# One point type per experiment holds all that differs between the two.  A
+# point is the whole request: its fields, statistics last, are the arguments
+# of its experiment's state builders, and ``point[:-1]`` those of its closed
+# forms.  Its methods reach both through this module's globals, so that
+# replacing those names on the module reaches them.
 class FockPoint(NamedTuple):
     """Type I: independent Fock states of n1 phi, n2 psi and n3 seed v particles."""
 
     n1: int
     n2: int
     n3: int
+    statistics: Statistics
 
     experiment = "type1"
 
@@ -169,32 +171,32 @@ class FockPoint(NamedTuple):
         validate_fock_point(*map(min, grids))
         return grids
 
-    def first_quantized(self, statistics: Statistics):
-        return fock_initial_state(*self, statistics)
+    def first_quantized(self):
+        return fock_initial_state(*self)
 
-    def sector_state(self, statistics: Statistics, sector: SectorSpec):
+    def sector_state(self, sector: SectorSpec):
         """Only the sector's terms of the input: all of it in (n1, n2, n3, 0), else none."""
-        if sector != (*self, 0):
-            return ManyBodyState(statistics, self.n, {})
-        return fock_initial_state(*self, statistics)
+        if sector != (*self[:-1], 0):
+            return ManyBodyState(self.statistics, self.n, {})
+        return fock_initial_state(*self)
 
-    def occupation(self, statistics: Statistics):
-        return fock_occupation_state(*self, statistics)
+    def occupation(self):
+        return fock_occupation_state(*self)
 
-    def closed_form(self, statistics: Statistics) -> Evaluator:
-        if statistics is Statistics.BOSON:
-            return partial(fock_boson_amplitude, *self)
-        return partial(fock_fermion_amplitude, *self)
+    def closed_form(self) -> Evaluator:
+        if self.statistics is Statistics.BOSON:
+            return partial(fock_boson_amplitude, *self[:-1])
+        return partial(fock_fermion_amplitude, *self[:-1])
 
-    def paths(self, statistics: Statistics) -> int:
+    def paths(self) -> int:
         """The paths the point's first-quantized scatter attempts, counted exactly."""
-        if statistics is Statistics.BOSON:
-            return 2 * fock_counts(*self).process_terms
+        if self.statistics is Statistics.BOSON:
+            return 2 * fock_counts(*self[:-1]).process_terms
         return 2 * self.n1 * self.n2  # one Slater key
 
-    def divergence_note(self, statistics: Statistics) -> str | None:
-        if statistics is Statistics.FERMION:
-            case = fock_fermion_case(*self)
+    def divergence_note(self) -> str | None:
+        if self.statistics is Statistics.FERMION:
+            case = fock_fermion_case(*self[:-1])
             if case in CROSS_CASES:
                 return (
                     f"closed-form cross term ({case}) uses +2*(min(n1,n2)-n3);"
@@ -211,6 +213,7 @@ class CoherentPoint(NamedTuple):
 
     n: int
     epsilon: float
+    statistics: Statistics
 
     experiment = "type2"
 
@@ -222,25 +225,25 @@ class CoherentPoint(NamedTuple):
             validate_coherent_point(min(ns), e)
         return ns, epsilons
 
-    def first_quantized(self, statistics: Statistics):
-        return coherent_initial_state(*self, statistics)
+    def first_quantized(self):
+        return coherent_initial_state(*self)
 
-    def sector_state(self, statistics: Statistics, sector: SectorSpec):
+    def sector_state(self, sector: SectorSpec):
         """Only the sector's terms of the input."""
-        return coherent_initial_state(*self, statistics, sector=sector)
+        return coherent_initial_state(*self, sector=sector)
 
-    def occupation(self, statistics: Statistics):
-        return coherent_occupation_state(*self, statistics)
+    def occupation(self):
+        return coherent_occupation_state(*self)
 
-    def closed_form(self, statistics: Statistics) -> Evaluator:
-        return partial(coherent_amplitude, *self)
+    def closed_form(self) -> Evaluator:
+        return partial(coherent_amplitude, *self[:-1])
 
-    def paths(self, statistics: Statistics) -> int:
+    def paths(self) -> int:
         """The paths the point's first-quantized scatter attempts, counted exactly.
 
         A fermion point counts them twice: its oracle walks the same 3^n terms.
         """
-        n, epsilon = self
+        n, epsilon, statistics = self
         paths = 0
         for m in range(n + 1):
             for k in range(n - m + 1):
@@ -249,7 +252,7 @@ class CoherentPoint(NamedTuple):
                     paths += 2 * counts.process_terms
         return paths if statistics is Statistics.BOSON else 2 * paths
 
-    def divergence_note(self, statistics: Statistics) -> str | None:
+    def divergence_note(self) -> str | None:
         return None
 
     def text(self) -> str:
@@ -258,8 +261,11 @@ class CoherentPoint(NamedTuple):
 
 Point = FockPoint | CoherentPoint
 POINT_TYPES = {point_type.experiment: point_type for point_type in (FockPoint, CoherentPoint)}
-# The grid flags of all experiments, in the order records list them.
-POINT_FIELDS = tuple(field for point_type in POINT_TYPES.values() for field in point_type._fields)
+# The grid flags of all experiments, in the order records list them: each
+# point type's fields but the statistics.
+POINT_FIELDS = tuple(
+    field for point_type in POINT_TYPES.values() for field in point_type._fields[:-1]
+)
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -352,7 +358,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--statistics must be boson or fermion")
     statistics = Statistics(statistics_text)
 
-    fields = point_type._fields
+    fields = point_type._fields[:-1]  # the grid flags; statistics is its own
     for key in POINT_FIELDS:
         if key not in fields and pick(key) is not None:
             raise UsageError(f"--{key} does not apply to {point_type.experiment}")
@@ -364,7 +370,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         grids = point_type.grid(*raw)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    points = [point_type(*values) for values in product(*grids)]
+    points = [point_type(*values, statistics) for values in product(*grids)]
 
     # A setting left out reads the default; an empty one is malformed.
     sa_text, sb_text = pick("sa"), pick("sb")
@@ -389,7 +395,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--format must be table, csv or json")
 
     return RunConfig(
-        statistics=statistics,
         points=points,
         sa=sa,
         sb=sb,
@@ -400,13 +405,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def engines_for(
-    statistics: Statistics,
-    point: Point,
-    requested: tuple[str, ...] | None,
-    cap: int,
-) -> tuple[str, ...]:
-    fermionic = statistics is Statistics.FERMION
+def engines_for(point: Point, requested: tuple[str, ...] | None, cap: int) -> tuple[str, ...]:
+    fermionic = point.statistics is Statistics.FERMION
     if requested is not None:
         if "firstq" in requested and fermionic and point.n > cap:
             raise UsageError(
@@ -419,11 +419,7 @@ def engines_for(
     return ALL_ENGINES
 
 
-def point_evaluators(
-    statistics: Statistics,
-    point: Point,
-    engines: tuple[str, ...],
-) -> dict[str, Evaluator]:
+def point_evaluators(point: Point, engines: tuple[str, ...]) -> dict[str, Evaluator]:
     """Per-engine callables (sa, sb) -> amplitude for one grid point.
 
     The first-quantized scattering is applied once here, without per-path
@@ -433,10 +429,10 @@ def point_evaluators(
     first-quantized state is built once: the oracle reads its Slater keys
     through ``from_first_quantized``.
     """
-    fermionic = statistics is Statistics.FERMION
+    fermionic = point.statistics is Statistics.FERMION
     first_quantized = None
     if "firstq" in engines or (fermionic and "oracle" in engines):
-        first_quantized = point.first_quantized(statistics)
+        first_quantized = point.first_quantized()
     evaluators: dict[str, Evaluator] = {}
     if "firstq" in engines:
         pairs = apply_first_order(first_quantized, paths=False).coefficients
@@ -445,14 +441,14 @@ def point_evaluators(
         if fermionic:
             initial = from_first_quantized(first_quantized)
         else:
-            initial = point.occupation(statistics)
+            initial = point.occupation()
 
         def oracle(sa: complex, sb: complex) -> float:
             return oracle_scattered_norm(apply_fwm_operator(initial, sa, sb))
 
         evaluators["oracle"] = oracle
     if "closed" in engines:
-        evaluators["closed"] = point.closed_form(statistics)
+        evaluators["closed"] = point.closed_form()
     return evaluators
 
 
@@ -464,7 +460,6 @@ def _overflow_error(point: Point, sa: complex, sb: complex) -> UsageError:
 
 
 def evaluate_point(
-    statistics: Statistics,
     point: Point,
     sa: complex,
     sb: complex,
@@ -494,7 +489,7 @@ def evaluate_point(
     if all_ok:
         status = STATUS_PASS
     else:
-        known = point.divergence_note(statistics)
+        known = point.divergence_note()
         if exact_ok and known is not None:
             status = STATUS_KNOWN
             note = known
@@ -503,7 +498,7 @@ def evaluate_point(
             note = "engines disagree beyond tolerance"
     return VerificationRecord(
         experiment=point.experiment,
-        statistics=statistics.value,
+        statistics=point.statistics.value,
         point=point,
         sa=sa,
         sb=sb,
@@ -515,7 +510,6 @@ def evaluate_point(
 
 
 def point_records(
-    statistics: Statistics,
     point: Point,
     requested: tuple[str, ...] | None,
     cap: int,
@@ -523,8 +517,8 @@ def point_records(
     tolerance: float,
 ) -> list[VerificationRecord]:
     """One point's records, one per (sa, sb) pair, from evaluators built once."""
-    evaluators = point_evaluators(statistics, point, engines_for(statistics, point, requested, cap))
-    return [evaluate_point(statistics, point, sa, sb, evaluators, tolerance) for sa, sb in pairs]
+    evaluators = point_evaluators(point, engines_for(point, requested, cap))
+    return [evaluate_point(point, sa, sb, evaluators, tolerance) for sa, sb in pairs]
 
 
 # What a pool of forked workers costs, in paths the serial loop would
@@ -546,12 +540,9 @@ def _available_cpus() -> int:
 
 
 def _map_points(
-    work: Callable,
-    statistics: list[Statistics],
-    points: list[Point],
-    requested: tuple[str, ...] | None,
+    work: Callable, points: list[Point], requested: tuple[str, ...] | None
 ) -> Iterable[list[VerificationRecord]]:
-    """``work`` on each (statistics, point) pair, with its results in grid order.
+    """``work`` on each point, with its results in grid order.
 
     A grid of two or more points that scatter, on a machine that can fork
     and lets this process run on two or more CPUs, runs in a pool of forked
@@ -564,10 +555,10 @@ def _map_points(
     workers = min(_available_cpus(), len(points))
     scatters = requested is None or not EXACT_ENGINES.isdisjoint(requested)
     if workers < 2 or not scatters or not hasattr(os, "fork"):
-        return map(work, statistics, points)
-    costs = [point.paths(stats) for stats, point in zip(statistics, points)]
+        return map(work, points)
+    costs = [point.paths() for point in points]
     if sum(costs) - max(costs) <= POOL_MIN_PATHS:
-        return map(work, statistics, points)
+        return map(work, points)
 
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -587,7 +578,7 @@ def _map_points(
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
         futures = {
-            start: pool.submit(_run_task, work, statistics[start:stop], points[start:stop])
+            start: pool.submit(_run_task, work, points[start:stop])
             for _, start, stop in sorted(tasks, reverse=True)
         }
         return [records for _, start, _ in tasks for records in futures[start].result()]
@@ -595,17 +586,17 @@ def _map_points(
         pool.shutdown(cancel_futures=True)
 
 
-def _run_task(work: Callable, statistics: list[Statistics], points: list[Point]) -> list:
-    return list(map(work, statistics, points))
+def _run_task(work: Callable, points: list[Point]) -> list:
+    return list(map(work, points))
 
 
 def grid_records(
-    grids: list[tuple[Statistics, list[Point]]],
+    points: list[Point],
     requested: tuple[str, ...] | None,
     pairs: tuple[tuple[complex, complex], ...],
     tolerance: float,
 ) -> list[VerificationRecord]:
-    """Walk (statistics, points) grids: one record per point and (sa, sb) pair.
+    """Walk a grid: one record per point and (sa, sb) pair.
 
     Each point's evaluators are built once and shared by its pairs.  A grid
     worth more than starting a pool runs its points in forked workers, one
@@ -614,15 +605,12 @@ def grid_records(
     work = partial(
         point_records, requested=requested, cap=nmax_cap(), pairs=pairs, tolerance=tolerance
     )
-    statistics = [stats for stats, points in grids for _ in points]
-    points = [point for _, grid in grids for point in grid]
-    per_point = _map_points(work, statistics, points, requested)
+    per_point = _map_points(work, points, requested)
     return [record for records in per_point for record in records]
 
 
 def run_records(cfg: RunConfig) -> list[VerificationRecord]:
-    grid = (cfg.statistics, cfg.points)
-    return grid_records([grid], cfg.engines, ((cfg.sa, cfg.sb),), cfg.tolerance)
+    return grid_records(cfg.points, cfg.engines, ((cfg.sa, cfg.sb),), cfg.tolerance)
 
 
 def _record_point(record: VerificationRecord) -> dict:
@@ -803,7 +791,7 @@ def _do_run(args: argparse.Namespace) -> int:
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
 
 
-def _check_destination(destination: ProductTerm, statistics: Statistics) -> None:
+def _check_destination(destination: ProductTerm, point: Point) -> None:
     """Reject a destination that ``path_report`` can never match or cannot canonicalize.
 
     Bosonic slots carry no q label. A fermion destination labels every slot,
@@ -812,7 +800,7 @@ def _check_destination(destination: ProductTerm, statistics: Statistics) -> None
     labelled = [slot for slot in destination if slot.q is not None]
     if not labelled:
         return
-    if statistics is Statistics.BOSON:
+    if point.statistics is Statistics.BOSON:
         raise UsageError(f"bosonic slots carry no q label, got {render_term(labelled[:1])}")
     seen = set()
     for slot in destination:
@@ -830,7 +818,7 @@ def _do_paths(args: argparse.Namespace) -> int:
     if len(cfg.points) != 1:
         raise UsageError("paths needs a single parameter point, not a grid")
     point = cfg.points[0]
-    engines_for(cfg.statistics, point, ("firstq",), nmax_cap())
+    engines_for(point, ("firstq",), nmax_cap())
     try:
         destination = parse_term(args.destination)
     except ValueError as exc:
@@ -839,8 +827,8 @@ def _do_paths(args: argparse.Namespace) -> int:
         raise UsageError(
             f"destination has {len(destination)} slots, state has {point.n} particles"
         )
-    _check_destination(destination, cfg.statistics)
-    result = apply_first_order(point.sector_state(cfg.statistics, source_sector(destination)))
+    _check_destination(destination, point)
+    result = apply_first_order(point.sector_state(source_sector(destination)))
     payload = []
     for dest, paths in path_report(result, destination).items():
         total = result.final_state.terms.get(dest)
@@ -874,9 +862,10 @@ def _do_paths(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fock_grid(nmax: int) -> list[FockPoint]:
+def _fock_splits(nmax: int) -> list[tuple[int, int, int]]:
+    """Every (n1, n2, n3) with n1, n2 >= 1 and n1 + n2 + n3 <= nmax, lexicographically."""
     return [
-        FockPoint(n1, n2, n3)
+        (n1, n2, n3)
         for n1 in range(1, nmax)
         for n2 in range(1, nmax - n1 + 1)
         for n3 in range(0, nmax - n1 - n2 + 1)
@@ -900,21 +889,20 @@ def _identity_record(name: str, max_dev: float, note: str) -> VerificationRecord
 
 
 def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
-    def coherent_points(n_top: int) -> list[CoherentPoint]:
-        return [CoherentPoint(n, e) for n in range(2, n_top + 1) for e in VERIFY_EPSILONS]
-
-    grids = [
-        (Statistics.BOSON, _fock_grid(nmax)),
-        (Statistics.FERMION, _fock_grid(min(nmax, 7))),
-        (Statistics.BOSON, coherent_points(nmax)),
-        (Statistics.FERMION, coherent_points(min(nmax, 6))),
+    splits = _fock_splits(nmax)
+    coherent = [(n, e) for n in range(2, nmax + 1) for e in VERIFY_EPSILONS]
+    points = [
+        *(FockPoint(*split, Statistics.BOSON) for split in splits),
+        *(FockPoint(*split, Statistics.FERMION) for split in splits if sum(split) <= 7),
+        *(CoherentPoint(n, e, Statistics.BOSON) for n, e in coherent),
+        *(CoherentPoint(n, e, Statistics.FERMION) for n, e in coherent if n <= 6),
     ]
-    records = grid_records(grids, None, VERIFY_PAIRS, tolerance)
+    records = grid_records(points, None, VERIFY_PAIRS, tolerance)
 
     # Closed-form counting identity: per-term gain times sqrt(distinct final
     # terms) reproduces the stimulated amplitude for every split of n <= 30.
     max_dev = 0.0
-    for n1, n2, n3 in _fock_grid(30):
+    for n1, n2, n3 in _fock_splits(30):
         counts = fock_counts(n1, n2, n3)
         lhs = math.sqrt(counts.distinct_final_terms) * counts.per_term_amplitude
         rhs = math.sqrt(n1 * n2 * (n3 + 1))
@@ -952,7 +940,9 @@ def verify_records(tolerance: float, nmax: int) -> list[VerificationRecord]:
             VerificationRecord(
                 experiment="identity",
                 statistics="coherent-gain",
-                point=CoherentPoint(n, 0.2),
+                # The counted gain does not depend on statistics; the point
+                # only names n and epsilon.
+                point=CoherentPoint(n, 0.2, Statistics.BOSON),
                 sa=0j,
                 sb=0j,
                 values={
@@ -1041,9 +1031,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser(
-        "run", aliases=["sweep"], help="compute amplitudes at parameter points or grids"
-    )
+    run_parser = sub.add_parser("run", help="compute amplitudes at parameter points or grids")
     _add_point_arguments(run_parser)
 
     paths_parser = sub.add_parser("paths", help="list scattering paths into one final term")
@@ -1064,7 +1052,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("run", "sweep"):
+        if args.command == "run":
             return _do_run(args)
         if args.command == "paths":
             return _do_paths(args)

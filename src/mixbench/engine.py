@@ -48,9 +48,9 @@ destination to its sector, and sorts the paths.  ``source_sector`` is
 the one sector whose terms have paths into a destination's sector: every
 path moves one phi and one psi particle to v and u, so a path out of sector
 (phi, psi, v, u) lands in (phi - 1, psi - 1, v + 1, u + 1) and no other
-term adds a path or a coefficient there.  ``sources_into`` keeps only the
-terms of that sector, in their stored order, so each destination of that
-sector receives the same contributions in the same order, and its sum is
+term adds a path or a coefficient there.  Scattering only the terms of
+that sector, in the whole state's order, gives each destination of its
+sector the same contributions in the same order, so its sum is
 bit-identical to the one the whole state's scatter gives.
 """
 
@@ -83,7 +83,6 @@ __all__ = [
     "apply_first_order",
     "path_report",
     "source_sector",
-    "sources_into",
 ]
 
 PROCESS_A = "A"
@@ -406,13 +405,6 @@ def source_sector(destination: ProductTerm) -> SectorSpec:
     """
     phi, psi, v, u = sector_of(destination)
     return SectorSpec(phi + 1, psi + 1, v - 1, u - 1)
-
-
-def sources_into(state: ManyBodyState, destination: ProductTerm) -> ManyBodyState:
-    """The terms of the state in the destination's ``source_sector``, in their stored order."""
-    wanted = source_sector(destination)
-    kept = {term: value for term, value in state.terms.items() if sector_of(term) == wanted}
-    return ManyBodyState(state.statistics, state.n, kept)
 
 
 def path_report(

@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from mixbench.amplitudes import AmplitudeForm, approx_eq
+from mixbench.amplitudes import approx_eq
 from mixbench.engine import apply_first_order, path_report
 from mixbench.formulas import (
     CROSS_CASES,
@@ -43,6 +43,7 @@ from mixbench.states import (
     coefficient_norm,
     state_norm,
 )
+from helpers import permute_slots, scaled, scaled_forms
 
 TOL = 1e-10
 TIGHT = 1e-12
@@ -55,30 +56,6 @@ def fock_grid(total_max):
         for n2 in range(1, total_max - n1 + 1):
             for n3 in range(0, total_max - n1 - n2 + 1):
                 yield n1, n2, n3
-
-
-def scaled(state: ManyBodyState, factor: complex) -> ManyBodyState:
-    """An unscattered state times a factor, merged and pruned by make_state."""
-    factor = complex(factor)
-    entries = [(term, value * factor) for term, value in state.terms.items()]
-    return make_state(state.statistics, state.n, entries)
-
-
-def scaled_forms(terms: dict, factor: complex) -> dict:
-    """Scattered forms times a factor, ca and cb each; exact zeros pruned."""
-    factor = complex(factor)
-    products = {term: (form.ca * factor, form.cb * factor) for term, form in terms.items()}
-    return {term: AmplitudeForm(ca, cb) for term, (ca, cb) in products.items() if ca or cb}
-
-
-def permute_slots(state: ManyBodyState, perm: list[int]) -> ManyBodyState:
-    """Relabel particle slots, new term[i] = old term[perm[i]], merged by make_state.
-
-    A boson state built by symmetrize is invariant; a fermion state picks up
-    the permutation's parity as a global sign.
-    """
-    entries = [(tuple(term[p] for p in perm), value) for term, value in state.terms.items()]
-    return make_state(state.statistics, state.n, entries)
 
 
 def firstq_norms(state: ManyBodyState):

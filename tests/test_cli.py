@@ -18,7 +18,6 @@ from mixbench.cli import main, render_path_table
 from mixbench.engine import PROCESS_A, apply_first_order, path_report
 from mixbench.states import (
     Mode,
-    SingleParticleState,
     Statistics,
     coefficient_norm,
     coherent_initial_state,
@@ -26,6 +25,7 @@ from mixbench.states import (
     parse_term,
     render_term,
 )
+from helpers import b
 
 
 def run_cli(capsys, *argv):
@@ -133,7 +133,7 @@ def test_negative_zero_epsilon_is_the_zero_point(capsys):
 
 def test_output_is_byte_stable(capsys):
     args = (
-        "sweep",
+        "run",
         "--experiment", "type1", "--statistics", "fermion",
         "--n1", "1:3", "--n2", "1:2", "--n3", "0:1",
         "--format", "json",
@@ -145,17 +145,21 @@ def test_output_is_byte_stable(capsys):
 
 
 def test_sweep_grid_is_lexicographic(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "sweep",
+    args = (
         "--experiment", "type1", "--statistics", "boson",
         "--n1", "1:2", "--n2", "1", "--n3", "0,2",
         "--engines", "closed",
         "--format", "csv",
     )
+    code, out, _ = run_cli(capsys, "run", *args)
     assert code == 0
     points = [(r["n1"], r["n2"], r["n3"]) for r in csv_rows_typed(out)]
     assert points == [(1, 1, 0), (1, 1, 2), (2, 1, 0), (2, 1, 2)]
+    # run is the one command for points and grids; sweep is no alias of it.
+    code, out, err = run_cli(capsys, "sweep", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: mixbench")
+    assert "invalid choice: 'sweep'" in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -401,27 +405,29 @@ def test_without_an_affinity_mask_the_cpu_count_sizes_the_pool(monkeypatch):
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 @pytest.mark.parametrize(
-    "point",
+    "point_type,counts",
     [
-        cli.FockPoint(1, 1, 0),
-        cli.FockPoint(3, 2, 1),
-        cli.FockPoint(2, 3, 4),
-        cli.CoherentPoint(2, 0.0),
-        cli.CoherentPoint(4, 0.0),
-        cli.CoherentPoint(4, 0.2),
-        cli.CoherentPoint(5, 0.5),
+        (cli.FockPoint, (1, 1, 0)),
+        (cli.FockPoint, (3, 2, 1)),
+        (cli.FockPoint, (2, 3, 4)),
+        (cli.CoherentPoint, (2, 0.0)),
+        (cli.CoherentPoint, (4, 0.0)),
+        (cli.CoherentPoint, (4, 0.2)),
+        (cli.CoherentPoint, (5, 0.5)),
     ],
+    ids=[f"point{i}" for i in range(7)],
 )
-def test_point_paths_count_what_the_scatter_attempts(statistics, point):
+def test_point_paths_count_what_the_scatter_attempts(statistics, point_type, counts):
     """Each term tries both processes on every (phi slot, psi slot) pair."""
-    state = point.first_quantized(statistics)
+    point = point_type(*counts, statistics)
+    state = point.first_quantized()
     attempted = 0
     for term in state.terms:
         modes = [slot.mode for slot in term]
         attempted += 2 * modes.count(Mode.PHI) * modes.count(Mode.PSI)
     # A type2 fermion point's oracle walks the same terms once more.
     passes = 2 if statistics is Statistics.FERMION and point.experiment == "type2" else 1
-    assert point.paths(statistics) == passes * attempted
+    assert point.paths() == passes * attempted
 
 
 SIGNED_ZERO_PAIRS = [
@@ -433,15 +439,15 @@ SIGNED_ZERO_PAIRS = [
 
 
 @pytest.mark.parametrize(
-    "statistics,point",
+    "point",
     [
-        (Statistics.BOSON, cli.FockPoint(2, 3, 1)),
-        (Statistics.FERMION, cli.FockPoint(3, 2, 1)),
-        (Statistics.BOSON, cli.CoherentPoint(4, 0.2)),
-        (Statistics.FERMION, cli.CoherentPoint(4, 0.2)),
+        pytest.param(cli.FockPoint(2, 3, 1, Statistics.BOSON), id="Statistics.BOSON-point0"),
+        pytest.param(cli.FockPoint(3, 2, 1, Statistics.FERMION), id="Statistics.FERMION-point1"),
+        pytest.param(cli.CoherentPoint(4, 0.2, Statistics.BOSON), id="Statistics.BOSON-point2"),
+        pytest.param(cli.CoherentPoint(4, 0.2, Statistics.FERMION), id="Statistics.FERMION-point3"),
     ],
 )
-def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, statistics, point):
+def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, point):
     results = []
     scatter = cli.apply_first_order
 
@@ -451,12 +457,12 @@ def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, statis
         return result
 
     monkeypatch.setattr(cli, "apply_first_order", spy)
-    firstq = cli.point_evaluators(statistics, point, ("firstq",))["firstq"]
+    firstq = cli.point_evaluators(point, ("firstq",))["firstq"]
     gc.collect()
     assert [ref() for ref in results] == [None]  # the result, its state and sums are gone
     (pairs,) = firstq.args  # what the evaluator keeps: (ca, cb) pairs, no terms or forms
     assert all(type(ca) is complex and type(cb) is complex for ca, cb in pairs)
-    final = scatter(point.first_quantized(statistics)).final_state
+    final = scatter(point.first_quantized()).final_state
     final_pairs = [(form.ca, form.cb) for form in final.terms.values()]
     for sa, sb in SIGNED_ZERO_PAIRS:
         assert firstq(sa, sb) == coefficient_norm(final_pairs, sa, sb)
@@ -694,7 +700,10 @@ def test_run_keeps_large_finite_amplitudes(capsys, engines):
         assert row.endswith(",5.656854249492381e+100")
 
 
-@pytest.mark.parametrize("point", [cli.FockPoint(3, 2, 1), cli.CoherentPoint(4, 0.2)])
+@pytest.mark.parametrize(
+    "point",
+    [cli.FockPoint(3, 2, 1, Statistics.FERMION), cli.CoherentPoint(4, 0.2, Statistics.FERMION)],
+)
 def test_a_fermion_point_builds_one_first_quantized_state(monkeypatch, point):
     builds = []
     for module in (cli, oracle):
@@ -704,8 +713,8 @@ def test_a_fermion_point_builds_one_first_quantized_state(monkeypatch, point):
                 return build(*args)
 
             monkeypatch.setattr(module, name, counted)
-    evaluators = cli.point_evaluators(Statistics.FERMION, point, ("firstq", "oracle"))
-    assert builds == [(*point, Statistics.FERMION)]
+    evaluators = cli.point_evaluators(point, ("firstq", "oracle"))
+    assert builds == [tuple(point)]  # a point is its builder's arguments
     assert evaluators["oracle"](1, 1) == pytest.approx(evaluators["firstq"](1, 1), abs=1e-12)
 
 
@@ -897,10 +906,6 @@ def path_to_dict(path):
         "contribution": {"c0": "0", "ca": ca, "cb": cb},
         "destination": render_term(path.destination_term),
     }
-
-
-def b(*modes):
-    return tuple(SingleParticleState(m) for m in modes)
 
 
 def test_path_records_carry_provenance():

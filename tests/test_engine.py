@@ -13,7 +13,6 @@ from mixbench.engine import (
     apply_first_order,
     path_report,
     source_sector,
-    sources_into,
 )
 from mixbench.states import (
     ManyBodyState,
@@ -26,47 +25,14 @@ from mixbench.states import (
     coefficient_norm,
     coherent_initial_state,
     fock_initial_state,
-    make_state,
     parse_term,
     render_term,
     sector_of,
     symmetrize,
 )
+from helpers import b, f, permute_slots, scaled, scaled_forms, sources_into
 
 PHI, PSI, V, U = Mode.PHI, Mode.PSI, Mode.V, Mode.U
-
-
-def b(*modes):
-    return tuple(SingleParticleState(m) for m in modes)
-
-
-def f(*pairs):
-    return tuple(SingleParticleState(m, q) for m, q in pairs)
-
-
-def scaled(state, factor):
-    """An unscattered state times a factor, merged and pruned by make_state."""
-    factor = complex(factor)
-    return make_state(
-        state.statistics, state.n, [(t, value * factor) for t, value in state.terms.items()]
-    )
-
-
-def scaled_forms(terms, factor):
-    """Scattered forms times a factor, ca and cb each; exact zeros pruned."""
-    factor = complex(factor)
-    products = {t: (form.ca * factor, form.cb * factor) for t, form in terms.items()}
-    return {t: AmplitudeForm(ca, cb) for t, (ca, cb) in products.items() if ca or cb}
-
-
-def permute_slots(state, perm):
-    """Relabel particle slots, new term[i] = old term[perm[i]], merged by make_state.
-
-    A boson state built by symmetrize is invariant; a fermion state picks up
-    the permutation's parity as a global sign.
-    """
-    entries = [(tuple(term[p] for p in perm), value) for term, value in state.terms.items()]
-    return make_state(state.statistics, state.n, entries)
 
 
 def test_single_pair_boson_scatters_both_ways():

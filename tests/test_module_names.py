@@ -186,9 +186,17 @@ def test_unscattered_stages_do_not_import_amplitudes(module):
 def test_cli_decides_the_experiment_only_in_its_point_types():
     """Only the point types know an experiment's fields; the rest of cli asks them.
 
-    No function outside a class takes an ``experiment`` argument, and no
-    point is read by a string key, as in ``point["n1"]`` or ``point.get("n")``.
+    A point is the whole request: both point types end in ``statistics``,
+    ``RunConfig`` holds no statistics of its own, and no function takes a
+    ``statistics`` argument. No function outside a class takes an
+    ``experiment`` argument, and no point is read by a string key, as in
+    ``point["n1"]`` or ``point.get("n")``.
     """
+    from mixbench import cli
+
+    assert [t._fields[-1] for t in cli.POINT_TYPES.values()] == ["statistics", "statistics"]
+    assert "statistics" not in cli.RunConfig._fields
+
     tree = ast.parse((ROOT / "src" / "mixbench" / "cli.py").read_text(encoding="utf-8"))
     methods = {
         id(node)
@@ -197,14 +205,18 @@ def test_cli_decides_the_experiment_only_in_its_point_types():
         for node in cls.body
         if isinstance(node, ast.FunctionDef)
     }
+
+    def takes(node: ast.FunctionDef, name: str) -> bool:
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        return name in [arg.arg for arg in args]
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     takes_experiment = [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and id(node) not in methods
-        and "experiment" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+        node.name for node in functions if id(node) not in methods and takes(node, "experiment")
     ]
     assert takes_experiment == []
+    takes_statistics = [node.name for node in functions if takes(node, "statistics")]
+    assert takes_statistics == []
 
     fields = {"n1", "n2", "n3", "n", "epsilon"}
 

@@ -27,12 +27,9 @@ from mixbench.states import (
     make_state,
 )
 from mixbench.amplitudes import AmplitudeForm
+from helpers import f
 
 PHI, PSI, V, U = Mode.PHI, Mode.PSI, Mode.V, Mode.U
-
-
-def f(*pairs):
-    return tuple(SingleParticleState(m, q) for m, q in pairs)
 
 
 def occupation_norm(state) -> float:

@@ -9,7 +9,6 @@ from mixbench.states import (
     Mode,
     PauliViolationError,
     SectorSpec,
-    SingleParticleState,
     Statistics,
     StatisticsMismatchError,
     antisymmetrize,
@@ -25,18 +24,9 @@ from mixbench.states import (
     symmetrize,
     validate_term,
 )
+from helpers import b, f, permute_slots
 
 PHI, PSI, V, U = Mode.PHI, Mode.PSI, Mode.V, Mode.U
-
-
-def b(*modes):
-    """Bosonic term from bare modes."""
-    return tuple(SingleParticleState(m) for m in modes)
-
-
-def f(*pairs):
-    """Fermionic term from (mode, q) pairs."""
-    return tuple(SingleParticleState(m, q) for m, q in pairs)
 
 
 def _term_sort_key(term):
@@ -190,16 +180,6 @@ def test_coherent_state_validates_arguments():
         coherent_initial_state(3, 1.0, Statistics.BOSON)
     with pytest.raises(ValueError):
         coherent_initial_state(3, -0.1, Statistics.BOSON)
-
-
-def permute_slots(state, perm):
-    """Relabel particle slots, new term[i] = old term[perm[i]], merged by make_state.
-
-    A boson state built by symmetrize is invariant; a fermion state picks up
-    the permutation's parity as a global sign.
-    """
-    entries = [(tuple(term[p] for p in perm), value) for term, value in state.terms.items()]
-    return make_state(state.statistics, state.n, entries)
 
 
 def test_permute_slots_boson_symmetry():
