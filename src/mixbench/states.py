@@ -15,7 +15,10 @@ before the scattering event.  A scattered state, whose coefficients are
 ``coefficient_norm`` is the same loop over a scattered state's ``(ca, cb)``
 pairs evaluated at ``(sa, sb)``.  The input checks of the two experiments,
 ``validate_fock_point`` and ``validate_coherent_point``, live here and
-every route calls them.
+every route calls them.  The input builders, ``fock_initial_state`` and
+``coherent_initial_state``, write every key already canonical and merge
+nothing; ``make_state`` validates, canonicalizes and merges terms built
+any other way.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import re
 from enum import Enum, IntEnum
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -36,7 +39,6 @@ __all__ = [
     "SingleParticleState",
     "Statistics",
     "StatisticsMismatchError",
-    "antisymmetrize",
     "canonical_fermion_term",
     "coefficient_norm",
     "coherent_initial_state",
@@ -223,16 +225,6 @@ def _multiset_permutations(items: list) -> Iterator[tuple]:
         a[j + 1 :] = a[:j:-1]
 
 
-def antisymmetrize(term: ProductTerm) -> ManyBodyState:
-    """Normalized antisymmetric combination of a fermionic term.
-
-    Mathematically this is (1/sqrt(n!)) sum over permutations with signs;
-    in storage it collapses to the single sorted key with the sorting
-    parity folded in.
-    """
-    return make_state(Statistics.FERMION, len(term), [(term, 1.0)])
-
-
 def validate_fock_point(n1: int, n2: int, n3: int) -> None:
     """Type I input: n1 phi and n2 psi particles, at least one each, and n3 >= 0 seeds."""
     if n1 < 1 or n2 < 1:
@@ -269,7 +261,8 @@ def fock_initial_state(n1: int, n2: int, n3: int, statistics: Statistics) -> Man
         + [SingleParticleState(Mode.PSI, q) for q in range(1, n2 + 1)]
         + [SingleParticleState(Mode.V, q) for q in range(1, n3 + 1)]
     )
-    return antisymmetrize(slots)
+    # Already a Slater key: phi, psi, v, each with q rising, so its sign is +1.
+    return ManyBodyState(statistics, n1 + n2 + n3, {slots: 1 + 0j})
 
 
 def coherent_initial_state(
@@ -282,114 +275,93 @@ def coherent_initial_state(
     (3^n at most); with epsilon = 0 the v-carrying terms vanish exactly.
     For fermions particle i carries q = i, which makes every assignment a
     valid Slater key and renders the statistics irrelevant to scattering.
-    With ``sector`` only that sector's terms are built: the same keys and
-    values, in the same order, as the whole state holds them.  A sector
-    with a u particle, or with other than n particles, is empty.
 
-    Keys are built in canonical order, so nothing is sorted.  A bosonic key
-    is the assignment itself: the whole state is ``product`` order, with
-    each key's phi and psi counts grown slot by slot beside it, and one
-    sector is the distinct orderings of its modes.  A fermionic key lists the phi
-    q's rising, then the psi q's, then the v q's, so it is a phi subset of
-    the particles and a psi subset of the rest; ``_subsets`` lists both in
-    key order.  The sign is the parity of the assignment's inversions, the
-    pairs of slots i < j where slot i holds the higher-ranked mode: each phi
-    counts the particles outside the phi subset before it, and each psi the
-    v particles before it, which is the same count within the rest.  All
-    terms with the same (m, k, sign) share one coefficient.
+    The whole state is its (m, k) sectors in turn, m phi and k psi
+    particles, m ascending and then k ascending; a sector whose coefficient
+    w_in**(m+k) * w_seed**(n-m-k) is an exact zero is left out.  With
+    ``sector`` only that sector's terms are built: the same keys and values,
+    in the same order, as the whole state holds them.  A sector with a u
+    particle, or with other than n particles, is empty.
+
+    Each sector's keys are built in canonical order, so nothing is sorted.
+    A bosonic sector is the distinct orderings of its modes.  A fermionic
+    key lists the phi q's rising, then the psi q's, then the v q's, so it is
+    a phi subset of the particles and a psi subset of the rest; ``_subsets``
+    lists both in key order.  The sign is the parity of the assignment's
+    inversions, the pairs of slots i < j where slot i holds the
+    higher-ranked mode: each phi counts the particles outside the phi subset
+    before it, and each psi the v particles before it, which is the same
+    count within the rest.  The terms of one sector and sign share one
+    coefficient.
     """
     validate_coherent_point(n, epsilon)
-    n_phi = n_psi = None  # the whole state
-    if sector is not None:
-        if sector.n_u or min(sector) < 0 or sum(sector) != n:
-            return ManyBodyState(statistics, n, {})
-        n_phi, n_psi = sector.n_phi, sector.n_psi
+    if sector is None:
+        counts = [(m, k) for m in range(n + 1) for k in range(n - m + 1)]
+    elif sector.n_u or min(sector) < 0 or sum(sector) != n:
+        counts = []
+    else:
+        counts = [(sector.n_phi, sector.n_psi)]
     w_in = math.sqrt((1.0 - epsilon) / 2.0)
     w_seed = math.sqrt(epsilon)
-    # values[m, k, parity]: the coefficient shared by the (m, k) terms of that
-    # inversion parity, None for an exact zero.  The power form keyed on
-    # counts gives every term of one group identical bits.
-    values: dict[tuple[int, int, int], complex | None] = {}
-    for m in range(n + 1):
-        for k in range(n - m + 1):
-            coeff = w_in ** (m + k) * w_seed ** (n - m - k)
-            for parity, sign in ((0, 1), (1, -1)):
-                values[m, k, parity] = None if coeff == 0.0 else complex(sign * coeff)
+    # The power form keyed on counts gives every term of a sector identical
+    # bits; an exact zero is never stored.
+    sectors = [(m, k, w_in ** (m + k) * w_seed ** (n - m - k)) for m, k in counts]
+    sectors = [(m, k, coeff) for m, k, coeff in sectors if coeff != 0.0]
     if statistics is Statistics.BOSON:
-        terms = _coherent_boson_terms(n, n_phi, n_psi, values)
+        terms = _coherent_boson_terms(n, sectors)
     else:
-        terms = _coherent_fermion_terms(n, n_phi, n_psi, values)
+        terms = _coherent_fermion_terms(n, sectors)
     return ManyBodyState(statistics, n, terms)
 
 
 def _coherent_boson_terms(
-    n: int, n_phi: int | None, n_psi: int | None, values: dict
+    n: int, sectors: list[tuple[int, int, float]]
 ) -> dict[ProductTerm, complex]:
     phi, psi, v = (SingleParticleState(mode) for mode in (Mode.PHI, Mode.PSI, Mode.V))
-    if n_phi is not None:
-        value = values[n_phi, n_psi, 0]
-        if value is None:
-            return {}
-        base = [phi] * n_phi + [psi] * n_psi + [v] * (n - n_phi - n_psi)
-        return dict.fromkeys(_multiset_permutations(base), value)
-    # codes[i] = m * (n + 1) + k for the i-th key in product order.  Ints up
-    # to 256 are shared objects, so unlike per-key count tuples these lists
-    # leave no garbage behind to fragment the heap and raise peak memory.
-    codes = [0]
-    for _ in range(n):
-        codes = [code + step for code in codes for step in (n + 1, 1, 0)]
-    by_code = {m * (n + 1) + k: values[m, k, 0] for m in range(n + 1) for k in range(n - m + 1)}
     terms = {}
-    for key, code in zip(product((phi, psi, v), repeat=n), codes):
-        value = by_code[code]
-        if value is not None:
+    for m, k, coeff in sectors:
+        value = complex(coeff)
+        for key in _multiset_permutations([phi] * m + [psi] * k + [v] * (n - m - k)):
             terms[key] = value
     return terms
 
 
 def _coherent_fermion_terms(
-    n: int, n_phi: int | None, n_psi: int | None, values: dict
+    n: int, sectors: list[tuple[int, int, float]]
 ) -> dict[ProductTerm, complex]:
     phi_row, psi_row, v_row = (
         [SingleParticleState(mode, q) for q in range(1, n + 1)]
         for mode in (Mode.PHI, Mode.PSI, Mode.V)
     )
-    psi_choices = {r: _subsets(r, n_psi) for r in range(n + 1)}
     terms = {}
-    for phis, rest, phi_parity in _subsets(n, n_phi):
-        m = len(phis)
-        head = tuple([phi_row[i] for i in phis])
-        psi_rest = [psi_row[i] for i in rest]
-        v_rest = [v_row[i] for i in rest]
-        for psis, vs, psi_parity in psi_choices[len(rest)]:
-            value = values[m, len(psis), phi_parity ^ psi_parity]
-            if value is not None:
+    for m, k, coeff in sectors:
+        values = (complex(coeff), complex(-1 * coeff))  # by inversion parity
+        psi_choices = _subsets(n - m, k)
+        for phis, rest, phi_parity in _subsets(n, m):
+            head = tuple([phi_row[i] for i in phis])
+            psi_rest = [psi_row[i] for i in rest]
+            v_rest = [v_row[i] for i in rest]
+            for psis, vs, psi_parity in psi_choices:
                 key = head + tuple([psi_rest[i] for i in psis]) + tuple([v_rest[i] for i in vs])
-                terms[key] = value
+                terms[key] = values[phi_parity ^ psi_parity]
     return terms
 
 
-def _subsets(r: int, size: int | None) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """(members, the others, parity) per subset of range(r), in Slater key order.
+@cache
+def _subsets(r: int, size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """(members, the others, parity) per size-subset of range(r), in Slater key order.
 
-    Subsets of one size come lexicographically; with ``size`` None every
-    size comes, each subset after its own extensions, because the slot that
-    follows a mode's last slot in a key sorts after every slot of that
-    mode.  The parity is that of the count, over the members, of the
-    others before each.
+    The subsets come lexicographically.  The parity is that of the count,
+    over the members, of the others before each.
     """
-    sizes = range(r + 1) if size is None else (size,)
-    chosen = [members for count in sizes for members in combinations(range(r), count)]
-    if size is None:
-        chosen.sort(key=lambda members: members + (r,))
-    return [
+    return tuple(
         (
             members,
             tuple(i for i in range(r) if i not in members),
-            (sum(members) - len(members) * (len(members) - 1) // 2) & 1,
+            (sum(members) - size * (size - 1) // 2) & 1,
         )
-        for members in chosen
-    ]
+        for members in combinations(range(r), size)
+    )
 
 
 def state_norm(state: ManyBodyState) -> float:

@@ -258,6 +258,28 @@ def test_a_sector_build_is_the_sources_of_the_whole_state(n, epsilon, statistics
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_coherent_input_scatters_one_sector_at_a_time(n, statistics):
+    # A path out of sector (m, k, r, 0) lands only in (m-1, k-1, r+1, 1), so
+    # no two sectors share a destination, and the whole input's sums are
+    # the sector sums merged in key order, each value's bits kept.
+    whole = coherent_initial_state(n, 0.2, statistics)
+    merged, seen = [], set()
+    for m in range(n + 1):
+        for k in range(n - m + 1):
+            sector = SectorSpec(m, k, n - m - k, 0)
+            piece = coherent_initial_state(n, 0.2, statistics, sector=sector)
+            sums = apply_first_order(piece, paths=False).sums
+            keys = {key for _, _, key in sums}
+            assert seen.isdisjoint(keys)
+            seen |= keys
+            merged += sums
+    # Ascending packed boson keys and descending fermion masks are canonical order.
+    merged.sort(key=lambda total: total[2], reverse=statistics is Statistics.FERMION)
+    assert repr(apply_first_order(whole, paths=False).sums) == repr(merged)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 def test_a_sector_outside_the_coherent_input_builds_nothing(statistics):
     for sector in (SectorSpec(1, 1, 0, 1), SectorSpec(1, 1, 0, 0), SectorSpec(2, 2, -1, 0)):
         state = coherent_initial_state(3, 0.2, statistics, sector=sector)

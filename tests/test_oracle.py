@@ -17,6 +17,7 @@ from mixbench.oracle import (
 )
 from mixbench.states import (
     Mode,
+    SectorSpec,
     SingleParticleState,
     Statistics,
     StatisticsMismatchError,
@@ -25,6 +26,7 @@ from mixbench.states import (
     coherent_initial_state,
     fock_initial_state,
     make_state,
+    sector_of,
 )
 from mixbench.amplitudes import AmplitudeForm
 from helpers import f
@@ -154,6 +156,28 @@ def test_oracle_matches_first_quantized_engine_coherent(n, epsilon, statistics):
     assert oracle_scattered_norm(scattered) == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_fermion_oracle_scatters_the_coherent_input_one_sector_at_a_time(n):
+    # A sector's destinations are its own, so the whole input's sums are the
+    # sector sums merged in key order, each value's bits kept.  The bit a
+    # slot gets depends on the slots of the input, so the keys are compared
+    # decoded.
+    sa, sb = 0.3 + 0.1j, -0.2 + 0.05j
+    whole = coherent_initial_state(n, 0.2, Statistics.FERMION)
+    expected = {}
+    for m in range(n + 1):
+        for k in range(n - m + 1):
+            sector = SectorSpec(m, k, n - m - k, 0)
+            piece = coherent_initial_state(n, 0.2, Statistics.FERMION, sector=sector)
+            scattered = apply_fwm_operator(from_first_quantized(piece), sa, sb).terms
+            assert expected.keys().isdisjoint(scattered)
+            expected.update(scattered)
+    got = apply_fwm_operator(from_first_quantized(whole), sa, sb).terms
+    assert [(key, repr(value)) for key, value in got.items()] == [
+        (key, repr(value)) for key, value in sorted(expected.items())
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),
@@ -195,9 +219,10 @@ def coherent_fermion_occupation_reference(n, epsilon):
 def test_coherent_fermion_occupation_matches_canonicalized_reference(n, epsilon):
     state = coherent_occupation_state(n, epsilon, Statistics.FERMION)
     reference = coherent_fermion_occupation_reference(n, epsilon)
-    assert list(state.terms) == list(reference)
+    # Sector-major: (m, k) ascending, canonical order within each sector.
+    assert list(state.terms) == sorted(reference, key=lambda t: (sector_of(t)[:2], t))
     assert [repr(value) for value in state.terms.values()] == [
-        repr(value) for value in reference.values()
+        repr(reference[key]) for key in state.terms
     ]
 
 

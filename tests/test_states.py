@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mixbench import states
+from mixbench.cli import VERIFY_EPSILONS
 from mixbench.states import (
     Mode,
     PauliViolationError,
     SectorSpec,
     Statistics,
     StatisticsMismatchError,
-    antisymmetrize,
     canonical_fermion_term,
     coherent_initial_state,
     fock_initial_state,
@@ -117,15 +118,6 @@ def test_symmetrize_matches_distinct_permutations(n):
             state = symmetrize(term)
             assert list(state.terms) == expected
             assert all(value == coeff for value in state.terms.values())
-
-
-def test_antisymmetrize_stores_a_single_sorted_key():
-    state = antisymmetrize(f((PSI, 1), (PHI, 1), (V, 1)))
-    assert len(state.terms) == 1
-    key = f((PHI, 1), (PSI, 1), (V, 1))
-    assert key in state.terms
-    assert state.terms[key] == -1.0
-    assert state_norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n1,n2,n3", [(1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 3, 1)])
@@ -311,11 +303,47 @@ def test_coherent_initial_state_matches_raw_assignment_reference(n, epsilon, sta
     # Each value's bits must agree, signed zeros included.
     state = coherent_initial_state(n, epsilon, statistics)
     reference = coherent_reference(n, epsilon, statistics)
-    assert list(state.terms) == sorted(reference.terms, key=_term_sort_key)
+    # Sector-major: (m, k) ascending, canonical order within each sector.
+    expected = sorted(reference.terms, key=lambda t: (sector_of(t)[:2], _term_sort_key(t)))
+    assert list(state.terms) == expected
     assert [repr(value) for value in state.terms.values()] == [
         repr(reference.terms[term]) for term in state.terms
     ]
     assert all(type(value) is complex for value in state.terms.values())
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("epsilon", VERIFY_EPSILONS)
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_whole_coherent_state_is_its_sectors_in_turn(n, epsilon, statistics):
+    # Keys in order and each value's bits: the whole build is the sector
+    # builds concatenated, m ascending and then k ascending.
+    whole = coherent_initial_state(n, epsilon, statistics)
+    pieces = [
+        coherent_initial_state(n, epsilon, statistics, sector=SectorSpec(m, k, n - m - k, 0))
+        for m in range(n + 1)
+        for k in range(n - m + 1)
+    ]
+    expected = [item for piece in pieces for item in piece.terms.items()]
+    assert list(whole.terms) == [term for term, _ in expected]
+    assert [repr(value) for value in whole.terms.values()] == [
+        repr(value) for _, value in expected
+    ]
+
+
+def test_the_input_builders_canonicalize_nothing(monkeypatch):
+    # Every input key is built already canonical, so neither the merge nor
+    # the sort of a fermion key is ever needed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input builder canonicalized a term")
+
+    monkeypatch.setattr(states, "make_state", refuse)
+    monkeypatch.setattr(states, "canonical_fermion_term", refuse)
+    for statistics in Statistics:
+        assert fock_initial_state(3, 2, 1, statistics).terms
+        assert coherent_initial_state(4, 0.2, statistics).terms
+        sector = SectorSpec(2, 1, 1, 0)
+        assert coherent_initial_state(4, 0.2, statistics, sector=sector).terms
 
 
 fermion_slots_with_repeats = st.lists(
