@@ -1,4 +1,4 @@
-"""The scattered coefficient form ``ca*sa + cb*sb`` and the ``a+bi`` text of complex numbers."""
+"""The scattered coefficient ``ca*sa + cb*sb`` as a form and as text, and ``a+bi`` complex text."""
 
 from __future__ import annotations
 
@@ -133,13 +133,13 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"invalid complex literal: {text!r}") from None
 
 
-def format_form(form: AmplitudeForm) -> str:
-    """Render a form as e.g. ``0.5*sa + 0.5*sb`` for tables and reports."""
+def format_form(ca: complex, cb: complex) -> str:
+    """Render ``ca*sa + cb*sb`` as e.g. ``0.5*sa + 0.5*sb`` for tables and reports."""
     parts = []
-    if form.ca != 0:
-        parts.append(f"{_wrap(format_complex(form.ca))}*sa")
-    if form.cb != 0:
-        parts.append(f"{_wrap(format_complex(form.cb))}*sb")
+    if ca != 0:
+        parts.append(f"{_wrap(format_complex(ca))}*sa")
+    if cb != 0:
+        parts.append(f"{_wrap(format_complex(cb))}*sb")
     if not parts:
         return "0"
     return " + ".join(parts)

@@ -29,6 +29,7 @@ from .engine import (
     PROCESS_A,
     PathRecord,
     apply_first_order,
+    check_destination,
     path_report,
     source_sector,
 )
@@ -467,7 +468,7 @@ def evaluate_point(
     tolerance: float,
 ) -> VerificationRecord:
     try:
-        values = {engine: evaluate(sa, sb) for engine, evaluate in evaluators.items()}
+        values = {engine: norm(sa, sb) for engine, norm in evaluators.items()}
         finite = all(math.isfinite(value) for value in values.values())
     except OverflowError:  # squaring a finite float past the largest one
         finite = False
@@ -690,6 +691,11 @@ def records_to_table(records: list[VerificationRecord]) -> str:
     return text_table(headers, rows) + "\n"
 
 
+def contribution(path: PathRecord) -> tuple[complex, complex]:
+    """A path's ``(ca, cb)`` contribution: its value in process A's ca or process B's cb."""
+    return (path.value, 0j) if path.process == PROCESS_A else (0j, path.value)
+
+
 def render_path_table(paths: list[PathRecord]) -> str:
     headers = ["source", "process", "slots", "sign", "contribution", "destination"]
     rows = [
@@ -698,7 +704,7 @@ def render_path_table(paths: list[PathRecord]) -> str:
             p.process,
             f"{p.phi_slot},{p.psi_slot}",
             f"{p.sign:+d}",
-            format_form(p.contribution),
+            format_form(*contribution(p)),
             render_term(p.destination_term),
         ]
         for p in paths
@@ -719,7 +725,6 @@ def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, co
     readers of the listing parse.
     """
     quote = json.dumps
-    zero = quote("0")
     source_text = cache(lambda term: quote(render_term(term)))
     amount_text = cache(lambda value: quote(format_complex(value)))
     process_text = cache(quote)
@@ -728,8 +733,7 @@ def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, co
         dest_text = quote(render_term(dest))  # also every path's destination
         records = []
         for p in paths:
-            amount = amount_text(p.value)
-            ca, cb = (amount, zero) if p.process == PROCESS_A else (zero, amount)
+            ca, cb = contribution(p)
             records.append(
                 "      {\n"
                 f'        "source": {source_text(p.source_term)},\n'
@@ -738,9 +742,9 @@ def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, co
                 f'        "psi_slot": {p.psi_slot},\n'
                 f'        "sign": {p.sign},\n'
                 '        "contribution": {\n'
-                f'          "c0": {zero},\n'
-                f'          "ca": {ca},\n'
-                f'          "cb": {cb}\n'
+                '          "c0": "0",\n'
+                f'          "ca": {amount_text(ca)},\n'
+                f'          "cb": {amount_text(cb)}\n'
                 "        },\n"
                 f'        "destination": {dest_text}\n'
                 "      }"
@@ -791,26 +795,6 @@ def _do_run(args: argparse.Namespace) -> int:
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
 
 
-def _check_destination(destination: ProductTerm, point: Point) -> None:
-    """Reject a destination that ``path_report`` can never match or cannot canonicalize.
-
-    Bosonic slots carry no q label. A fermion destination labels every slot,
-    each once, or none, which makes it a sector query that may repeat slots.
-    """
-    labelled = [slot for slot in destination if slot.q is not None]
-    if not labelled:
-        return
-    if point.statistics is Statistics.BOSON:
-        raise UsageError(f"bosonic slots carry no q label, got {render_term(labelled[:1])}")
-    seen = set()
-    for slot in destination:
-        if slot in seen:
-            raise UsageError(f"fermion destination repeats {render_term((slot,))}")
-        seen.add(slot)
-    if len(labelled) != len(destination):
-        raise UsageError("fermion destination must label every slot with q, or none")
-
-
 def _do_paths(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if cfg.fmt == "csv":
@@ -821,24 +805,16 @@ def _do_paths(args: argparse.Namespace) -> int:
     engines_for(point, ("firstq",), nmax_cap())
     try:
         destination = parse_term(args.destination)
+        check_destination(destination, point.statistics, point.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if len(destination) != point.n:
-        raise UsageError(
-            f"destination has {len(destination)} slots, state has {point.n} particles"
-        )
-    _check_destination(destination, point)
     result = apply_first_order(point.sector_state(source_sector(destination)))
     payload = []
-    for dest, paths in path_report(result, destination).items():
-        total = result.final_state.terms.get(dest)
-        if total is None:
-            payload.append((dest, paths, "0", 0j))
-        else:
-            value = total.evaluate(cfg.sa, cfg.sb)
-            if not cmath.isfinite(value):
-                raise _overflow_error(point, cfg.sa, cfg.sb)
-            payload.append((dest, paths, format_form(total), value))
+    for dest, (paths, (ca, cb)) in path_report(result, destination).items():
+        value = ca * cfg.sa + cb * cfg.sb
+        if not cmath.isfinite(value):
+            raise _overflow_error(point, cfg.sa, cfg.sb)
+        payload.append((dest, paths, format_form(ca, cb), value))
 
     if cfg.fmt == "json":
         _write_output(render_paths_json(payload), cfg.out)

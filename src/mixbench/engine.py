@@ -26,25 +26,24 @@ The source state holds plain complex coefficients and the result holds
 ``(ca, cb)`` pairs: ca collects process A's paths and cb process B's, so a
 final coefficient is ``ca*sa + cb*sb``.  ``ScatterResult.sums`` is the
 result's one output: the sums sorted once into canonical term order, exact
-zeros pruned.  ``coefficients`` lists their pairs; ``final_state`` decodes
-each key to its slots and builds a ``ScatteredState`` of one validated
-``AmplitudeForm`` per final term only when it is first read.  Scattering
-a scattered state fails with ``TypeError``: a path multiplies its source
-coefficient by its sign, and a form is no number.  With ``paths=True``
-(the default) a path is kept as a plain tuple of ints, its value and its
-destination's sum; its ``PathRecord`` is built when ``ScatterResult.paths``
-is first read, and its own form only when its ``contribution`` is read.
-With ``paths=False`` the loop keeps no record at all, for callers such as
-``run`` and ``verify`` that need only the coefficients.  ``oracle`` also
-codes fermions as bitmasks, but ranks and signs them with its own
-ladder-operator loop; the two routes share no scattering code, so each
-checks the other.
+zeros pruned.  ``coefficients`` lists their pairs; ``final_state``, a
+library view no CLI path reads, builds a ``ScatteredState`` of one
+validated ``AmplitudeForm`` per final term when it is first read.
+Scattering a scattered state fails with ``TypeError``: a path multiplies
+its source coefficient by its sign, and a form is no number.  With
+``paths=True`` (the default) a path is kept as a plain tuple of ints, its
+value and its destination's sum; its ``PathRecord`` is built when
+``ScatterResult.paths`` is first read.  With ``paths=False`` the loop
+keeps no record at all, for callers such as ``run`` and ``verify`` that
+need only the coefficients.  ``oracle`` also codes fermions as bitmasks,
+but ranks and signs them with its own ladder-operator loop; the two
+routes share no scattering code, so each checks the other.
 
 The scattered norm is ``coefficient_norm(result.coefficients, sa, sb)``,
 which builds no final state.
-``path_report`` owns which paths a ``paths`` request shows and in what
-order: it canonicalizes the destination, widens an unlabelled fermion
-destination to its sector, and sorts the paths.  ``source_sector`` is
+``path_report`` owns a ``paths`` listing: it checks and canonicalizes the
+destination, widens an unlabelled fermion destination to its sector, sorts
+the paths and hands back each matched destination's sum.  ``source_sector`` is
 the one sector whose terms have paths into a destination's sector: every
 path moves one phi and one psi particle to v and u, so a path out of sector
 (phi, psi, v, u) lands in (phi - 1, psi - 1, v + 1, u + 1) and no other
@@ -81,6 +80,7 @@ __all__ = [
     "ScatterResult",
     "ScatteredState",
     "apply_first_order",
+    "check_destination",
     "path_report",
     "source_sector",
 ]
@@ -97,10 +97,10 @@ class PathRecord(NamedTuple):
     Slot indices are 0-based positions in the stored source term.  The sign
     is +1 for bosons; for fermions it is the parity picked up when the
     destination term is brought back to canonical slot order.  ``value`` is
-    sign * (source coefficient); ``contribution`` places it in the ca or cb
-    component of a form, depending on the process, and is built on access.
-    Records are built from the engine's compact per-path tuples on the first
-    read of ``ScatterResult.paths``.
+    sign * (source coefficient), which adds to the destination's ca in
+    process A and to its cb in process B.  Records are built from the
+    engine's compact per-path tuples on the first read of
+    ``ScatterResult.paths``.
     """
 
     source_term: ProductTerm
@@ -110,12 +110,6 @@ class PathRecord(NamedTuple):
     sign: int
     value: complex
     destination_term: ProductTerm
-
-    @property
-    def contribution(self) -> AmplitudeForm:
-        if self.process == PROCESS_A:
-            return AmplitudeForm(ca=self.value)
-        return AmplitudeForm(cb=self.value)
 
 
 class ScatteredState(NamedTuple):
@@ -158,8 +152,6 @@ class ScatterResult:
     ) -> None:
         self._source = source
         self._records = records
-        # Every destination a record can point at, pruned ones included.
-        self._destinations = None if records is None else list(sums)
         self._width = width
         # Descending fermion masks are ascending Slater keys.
         descending = source.statistics is Statistics.FERMION
@@ -192,7 +184,6 @@ class ScatterResult:
         if records is None:
             return apply_first_order(self._source).paths
         term_of = self._term_of
-        term_at = {key: term_of(key) for key in self._destinations}  # each decoded once
         sources = tuple(self._source.terms)
         built: list = [None] * len(records)
         # Pop each compact record as its PathRecord is made, so the two
@@ -200,7 +191,7 @@ class ScatterResult:
         for at in range(len(records) - 1, -1, -1):
             index, component, i, j, sign, value, total = records.pop()
             built[at] = PathRecord(
-                sources[index], _PROCESSES[component], i, j, sign, value, term_at[total[2]]
+                sources[index], _PROCESSES[component], i, j, sign, value, term_of(total[2])
             )
         return tuple(built)
 
@@ -407,11 +398,34 @@ def source_sector(destination: ProductTerm) -> SectorSpec:
     return SectorSpec(phi + 1, psi + 1, v - 1, u - 1)
 
 
+def check_destination(destination: ProductTerm, statistics: Statistics, n: int) -> None:
+    """Reject a destination that ``path_report`` can never match or cannot canonicalize.
+
+    A destination has one slot per particle, and bosonic slots carry no q
+    label.  A fermion destination labels every slot, each once, or none,
+    which makes it a sector query that may repeat slots.  A destination that
+    breaks any of these rules raises ``ValueError``.
+    """
+    if len(destination) != n:
+        raise ValueError(f"destination has {len(destination)} slots, state has {n} particles")
+    labelled = [slot for slot in destination if slot.q is not None]
+    if not labelled:
+        return
+    if statistics is Statistics.BOSON:
+        raise ValueError(f"bosonic slots carry no q label, got {render_term(labelled[:1])}")
+    for at, slot in enumerate(destination):
+        if slot in destination[:at]:
+            raise ValueError(f"fermion destination repeats {render_term((slot,))}")
+    if len(labelled) != len(destination):
+        raise ValueError("fermion destination must label every slot with q, or none")
+
+
 def path_report(
     result: ScatterResult, destination: ProductTerm
-) -> dict[ProductTerm, list[PathRecord]]:
-    """The paths of one scatter result into a destination, by destination term.
+) -> dict[ProductTerm, tuple[list[PathRecord], tuple[complex, complex]]]:
+    """The paths into a destination and its ``(ca, cb)`` sum, by destination term.
 
+    A destination that ``check_destination`` rejects raises ``ValueError``.
     A fermionic destination is canonicalized, so any slot ordering of the
     same Slater key selects the same report.  A fermionic destination with
     no q labels selects every labelled destination of its sector, in
@@ -419,8 +433,11 @@ def path_report(
     that sector, as when all are Pauli blocked.  Paths are ordered by their
     source term's rendering; the stable sort keeps the scatter's order
     within one source, which is process A before B, as only the two paths
-    of one slot pair can share a source and a destination.
+    of one slot pair can share a source and a destination.  A destination's
+    sum is its entry of ``result.sums``, or ``(0j, 0j)`` when it has none:
+    no path reaches it, or its paths cancel exactly.
     """
+    check_destination(destination, result._source.statistics, result._source.n)
     by_destination: dict[ProductTerm, list[PathRecord]] = {}
     for path in result.paths:
         by_destination.setdefault(path.destination_term, []).append(path)
@@ -433,8 +450,13 @@ def path_report(
         ) or [destination]
     else:
         matches = [canonical_fermion_term(destination)[0]]
+    term_of = result._term_of  # cached; .paths on a result with records has filled it
+    totals = {term_of(key): (ca, cb) for ca, cb, key in result.sums}
     text = cache(render_term)  # each source rendered once per call
     return {
-        dest: sorted(by_destination.get(dest, ()), key=lambda p: text(p.source_term))
+        dest: (
+            sorted(by_destination.get(dest, ()), key=lambda p: text(p.source_term)),
+            totals.get(dest, (0j, 0j)),
+        )
         for dest in matches
     }

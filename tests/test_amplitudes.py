@@ -168,8 +168,10 @@ def test_format_complex_prints_a_negative_zero_part_as_zero(z, twin):
 
 
 def test_format_form():
-    assert format_form(AmplitudeForm()) == "0"
-    assert format_form(AmplitudeForm(ca=0.5, cb=0.5)) == "0.5*sa + 0.5*sb"
+    assert format_form(0j, 0j) == "0"
+    assert format_form(complex(-0.0, 0.0), -0j) == "0"
+    assert format_form(0.5, 0.5) == "0.5*sa + 0.5*sb"
     # interior signs get parenthesized so the rendering re-parses unambiguously
-    assert format_form(AmplitudeForm(ca=1 + 1j)) == "(1+i)*sa"
-    assert format_form(AmplitudeForm(ca=-2, cb=1)) == "-2*sa + 1*sb"
+    assert format_form(1 + 1j, 0j) == "(1+i)*sa"
+    assert format_form(0j, -1j) == "-i*sb"
+    assert format_form(-2, 1) == "-2*sa + 1*sb"

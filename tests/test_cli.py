@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from mixbench import cli, oracle
-from mixbench.amplitudes import format_complex, format_form, parse_complex
-from mixbench.cli import main, render_path_table
-from mixbench.engine import PROCESS_A, apply_first_order, path_report
+from mixbench.amplitudes import AmplitudeForm, format_complex, format_form, parse_complex
+from mixbench.cli import contribution, main, render_path_table
+from mixbench.engine import PROCESS_A, PROCESS_B, apply_first_order, path_report
 from mixbench.states import (
     Mode,
     Statistics,
@@ -763,6 +763,41 @@ def test_paths_refuses_a_partly_labelled_fermion_destination(capsys):
         assert err == "error: fermion destination must label every slot with q, or none\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "flags,destination",
+    [
+        pytest.param(
+            ["--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",
+             "--n3", "1"],
+            "psi phi v u v",
+            id="boson",
+        ),
+        pytest.param(
+            ["--experiment", "type1", "--statistics", "fermion", "--n1", "3", "--n2", "2",
+             "--n3", "1"],
+            "v(3) phi(2) phi(1) psi(2) v(1) u(1)",
+            id="fermion-labelled",
+        ),
+        pytest.param(
+            ["--experiment", "type2", "--statistics", "fermion", "--n", "5", "--epsilon", "0.2"],
+            "phi psi v v u",
+            id="fermion-sector",
+        ),
+    ],
+)
+def test_paths_builds_no_amplitude_form(monkeypatch, capsys, flags, destination, fmt):
+    def refuse(form, *args, **kwargs):
+        raise AssertionError("paths built an AmplitudeForm")
+
+    monkeypatch.setattr(AmplitudeForm, "__init__", refuse)
+    code, out, err = run_cli(
+        capsys, "paths", *flags, "--sa=0.3-0.1i", destination, "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert "*sa" in out
+
+
 def test_paths_boson_worked_example(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -911,14 +946,19 @@ def path_to_dict(path):
 def test_path_records_carry_provenance():
     result = apply_first_order(fock_initial_state(1, 1, 0, Statistics.BOSON))
     v_u = b(Mode.V, Mode.U)
-    paths = path_report(result, v_u)[v_u]
+    paths, _ = path_report(result, v_u)[v_u]
     assert len(paths) == 2
     by_process = {p.process: p for p in paths}
     a = by_process[PROCESS_A]
     assert a.source_term == b(Mode.PHI, Mode.PSI)
     assert (a.phi_slot, a.psi_slot) == (0, 1)
     assert a.sign == 1
-    assert a.contribution.ca == pytest.approx(1 / math.sqrt(2))
+    # A path's value lands in ca for process A and in cb for process B.
+    w = 1 / math.sqrt(2)
+    assert {p.process: contribution(p) for p in paths} == {
+        PROCESS_A: (pytest.approx(w), 0j),
+        PROCESS_B: (0j, pytest.approx(w)),
+    }
     d = path_to_dict(a)
     assert d["process"] == "A"
     assert d["destination"] == "v u"
@@ -967,14 +1007,14 @@ def test_paths_json_is_json_dumps_of_the_reference(capsys, state, flags, destina
     # The reference scatters the whole state and serializes with the indenting encoder.
     result = apply_first_order(state)
     doc = []
-    for dest, paths in path_report(result, parse_term(destination)).items():
+    for dest, (paths, _) in path_report(result, parse_term(destination)).items():
         form = result.final_state.terms.get(dest)
         value = 0j if form is None else form.evaluate(parse_complex(sa), parse_complex(sb))
         doc.append(
             {
                 "destination": render_term(dest),
                 "paths": [path_to_dict(p) for p in paths],
-                "total": "0" if form is None else format_form(form),
+                "total": "0" if form is None else format_form(form.ca, form.cb),
                 "value": format_complex(value),
             }
         )

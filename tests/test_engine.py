@@ -11,6 +11,7 @@ from mixbench.engine import (
     PROCESS_A,
     PROCESS_B,
     apply_first_order,
+    check_destination,
     path_report,
     source_sector,
 )
@@ -93,12 +94,11 @@ def test_partial_blocking_leaves_single_process():
 def test_boson_stimulation_count():
     # (1,1,1): four paths into the doubly occupied v ordering
     result = apply_first_order(fock_initial_state(1, 1, 1, Statistics.BOSON))
-    paths = path_report(result, parse_term("v v u"))[parse_term("v v u")]
+    paths, (ca, cb) = path_report(result, parse_term("v v u"))[parse_term("v v u")]
     assert len(paths) == 4
     assert {p.process for p in paths} == {PROCESS_A, PROCESS_B}
-    total = result.final_state.terms[parse_term("v v u")]
-    assert total.ca == pytest.approx(2 / math.sqrt(6))
-    assert total.cb == pytest.approx(2 / math.sqrt(6))
+    assert ca == pytest.approx(2 / math.sqrt(6))
+    assert cb == pytest.approx(2 / math.sqrt(6))
 
 
 def test_scattered_norm_fock_boson_closed_value():
@@ -119,7 +119,7 @@ def test_path_report_canonicalizes_fermion_destination():
     result = apply_first_order(fock_initial_state(2, 1, 0, Statistics.FERMION))
     # query in scrambled slot order; the report must find the sorted key
     scrambled = f((V, 2), (PHI, 1), (U, 1))
-    ((key, paths),) = path_report(result, scrambled).items()
+    ((key, (paths, _)),) = path_report(result, scrambled).items()
     assert key == f((PHI, 1), (V, 2), (U, 1))
     assert len(paths) == 1
     assert paths[0].destination_term == key
@@ -133,10 +133,10 @@ def test_path_report_widens_an_unlabelled_fermion_destination_to_its_sector():
         f((PHI, 1), (V, 2), (U, 1)),
         f((PHI, 2), (V, 1), (U, 1)),
     ]
-    assert sum(len(paths) for paths in report.values()) == len(result.paths)
+    assert sum(len(paths) for paths, _ in report.values()) == len(result.paths)
     # every path into the sector is Pauli blocked: the query maps to no paths
     blocked = apply_first_order(fock_initial_state(1, 1, 1, Statistics.FERMION))
-    assert path_report(blocked, b(V, V, U)) == {b(V, V, U): []}
+    assert path_report(blocked, b(V, V, U)) == {b(V, V, U): ([], (0j, 0j))}
 
 
 def _small_states():
@@ -168,7 +168,6 @@ def _sectors(n):
 @pytest.mark.parametrize("state", _small_states())
 def test_scattering_only_the_sources_of_a_sector_gives_the_same_report(state):
     full = apply_first_order(state)
-    forms = full.final_state.terms
     for n_phi, n_psi, n_v, n_u in _sectors(state.n):
         modes = (PHI,) * n_phi + (PSI,) * n_psi + (V,) * n_v + (U,) * n_u
         unlabelled = b(*modes)
@@ -182,11 +181,9 @@ def test_scattering_only_the_sources_of_a_sector_gives_the_same_report(state):
         for destination in destinations:
             sources = sources_into(state, destination)
             assert {sector_of(term) for term in sources.terms} <= {source_sector}
+            # repr tells signed zeros apart in the values and the sums
             kept = apply_first_order(sources)
-            report = path_report(kept, destination)
-            assert report == path_report(full, destination)
-            for dest in report:
-                assert repr(kept.final_state.terms.get(dest)) == repr(forms.get(dest))
+            assert repr(path_report(kept, destination)) == repr(path_report(full, destination))
 
 
 def test_a_blocked_or_unreachable_sector_keeps_no_path():
@@ -194,9 +191,35 @@ def test_a_blocked_or_unreachable_sector_keeps_no_path():
     unreachable = fock_initial_state(2, 1, 1, Statistics.BOSON)
     for state, destination in ((blocked, b(V, V, U)), (unreachable, b(PHI, PSI, V, V))):
         result = apply_first_order(sources_into(state, destination))
-        assert path_report(result, destination) == {destination: []}
+        assert path_report(result, destination) == {destination: ([], (0j, 0j))}
         assert destination not in result.final_state.terms  # the listing's total is "0"
     assert sources_into(unreachable, b(PHI, PSI, V, V)).terms == {}
+
+
+BOSON, FERMION = Statistics.BOSON, Statistics.FERMION
+PARTLY_LABELLED = "^fermion destination must label every slot with q, or none$"
+
+
+@pytest.mark.parametrize(
+    "point,statistics,destination,message",
+    [
+        ((1, 1, 1), BOSON, "v(1) v u", r"^bosonic slots carry no q label, got v\(1\)$"),
+        ((2, 2, 0), FERMION, "phi(1) psi v(1) u(2)", PARTLY_LABELLED),
+        ((2, 2, 0), FERMION, "v(1) v u(1) u(2)", PARTLY_LABELLED),
+        ((2, 2, 0), FERMION, "v(1) u(2) v(1) u(1)", r"^fermion destination repeats v\(1\)$"),
+        ((2, 2, 0), FERMION, "v u u", "^destination has 3 slots, state has 4 particles$"),
+        ((1, 1, 1), BOSON, "v u v u", "^destination has 4 slots, state has 3 particles$"),
+    ],
+)
+def test_path_report_rejects_what_check_destination_rejects(
+    point, statistics, destination, message
+):
+    destination = parse_term(destination)
+    with pytest.raises(ValueError, match=message):
+        check_destination(destination, statistics, sum(point))
+    result = apply_first_order(fock_initial_state(*point, statistics))
+    with pytest.raises(ValueError, match=message):
+        path_report(result, destination)
 
 
 def test_sources_into_pins_the_size_of_the_benchmark_listing():
@@ -224,13 +247,14 @@ def test_path_report_order_is_the_rendered_source_then_process_then_slots():
     )
     assert sorted(sources.terms, key=render_term) != sorted(sources.terms)
     report = path_report(apply_first_order(sources), destination)
-    assert (len(report), sum(map(len, report.values()))) == (720, 10_080)
+    assert (len(report), sum(len(paths) for paths, _ in report.values())) == (720, 10_080)
 
     def text_process_slots(path):
         return render_term(path.source_term), path.process, path.phi_slot, path.psi_slot
 
     assert report == {
-        dest: sorted(paths, key=text_process_slots) for dest, paths in report.items()
+        dest: (sorted(paths, key=text_process_slots), total)
+        for dest, (paths, total) in report.items()
     }
 
 
@@ -406,10 +430,6 @@ def assert_matches_naive(state):
     result = apply_first_order(state)
     paths = naive_scatter(state)
     assert [tuple(p) for p in result.paths] == paths
-    assert [p.contribution for p in result.paths] == [
-        AmplitudeForm(ca=v) if process == PROCESS_A else AmplitudeForm(cb=v)
-        for _, process, _, _, _, v, _ in paths
-    ]
     # same forms in the same canonical order
     assert list(result.final_state.terms.items()) == list(naive_path_order_sums(state).items())
 
@@ -491,7 +511,9 @@ def test_paths_decode_each_destination_once(statistics):
         result = apply_first_order(state)
         destinations = {path.destination_term for path in result.paths}
         decoded = result._term_of.cache_info()
-        assert (decoded.misses, decoded.hits) == (len(destinations), 0)
+        # One decode per destination; every further path into it is a cache hit.
+        assert decoded.misses == len(destinations)
+        assert decoded.hits == len(result.paths) - len(destinations)
     # The cancelled destination is decoded for its paths, though pruned from the state.
     assert set(result.final_state.terms) < destinations
 
@@ -526,6 +548,56 @@ def cancelling_state(statistics):
         keys, values = ("phi psi v", "v psi phi"), (0.5, -0.5)
     terms = {parse_term(key): complex(value) for key, value in zip(keys, values)}
     return ManyBodyState(statistics, 3, terms)
+
+
+def _report_queries():
+    """Points of both experiments and statistics, each with the destinations to query."""
+    for statistics in Statistics:
+        for state in (
+            fock_initial_state(2, 2, 1, statistics),
+            fock_initial_state(3, 2, 1, statistics),
+            fock_initial_state(1, 1, 1, statistics),  # every fermion path Pauli blocked
+            coherent_initial_state(4, 0.2, statistics),
+            coherent_initial_state(4, 0.0, statistics),
+            cancelling_state(statistics),
+            signed_zero_state(statistics),
+        ):
+            yield pytest.param(state, id=f"{statistics.value}-{state.n}-{len(state.terms)}")
+
+
+@pytest.mark.parametrize("state", _report_queries())
+def test_path_report_sums_are_the_final_state_bit_for_bit(state):
+    full = apply_first_order(state)
+    forms = full.final_state.terms
+    # Every sector, each unreached one included, as one unlabelled query.
+    queries = [
+        b(*(PHI,) * n_phi + (PSI,) * n_psi + (V,) * n_v + (U,) * n_u)
+        for n_phi, n_psi, n_v, n_u in _sectors(state.n)
+    ]
+    if state.statistics is Statistics.FERMION:
+        queries += [dest[::-1] for dest in forms]  # labelled, in reversed slot order
+    else:
+        queries += list(forms)
+    seen = set()
+    for destination in queries:
+        for result in (full, apply_first_order(sources_into(state, destination))):
+            for dest, (_, total) in path_report(result, destination).items():
+                form = forms.get(dest)
+                expected = (0j, 0j) if form is None else (form.ca, form.cb)
+                assert repr(total) == repr(expected), dest
+                seen.add(dest)
+    assert set(forms) <= seen
+    assert seen - set(forms)  # some unreached or cancelled destination read (0j, 0j)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_path_report_gives_a_cancelled_destination_its_paths_and_a_zero_sum(statistics):
+    result = apply_first_order(cancelling_state(statistics))
+    fermion = statistics is Statistics.FERMION
+    destination = parse_term("v(1) v(3) u(2)" if fermion else "v u v")
+    paths, total = path_report(result, destination)[destination]
+    assert [p.process for p in paths] == [PROCESS_A, PROCESS_A]
+    assert repr(total) == repr((0j, 0j))
 
 
 TEST_STATES = [

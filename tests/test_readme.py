@@ -50,8 +50,11 @@ def test_library_use_block_gives_the_values_its_comments_state():
     assert math.isclose(closed, 2 * math.sqrt(30), rel_tol=1e-15)
     assert math.isclose(firstq, closed, rel_tol=1e-12)
 
-    # "{v v u: its 4 paths}"
+    # "{v v u: (its 4 paths, (ca, cb))}"
     report = namespace["report"]
     destination = parse_term("v v u")
     assert list(report) == [destination]
-    assert len(report[destination]) == 4
+    paths, (ca, cb) = report[destination]
+    assert len(paths) == 4
+    assert ca == cb
+    assert abs(ca - 2 / math.sqrt(6)) < 1e-15
