@@ -19,7 +19,7 @@ from itertools import product
 from typing import NamedTuple
 
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Generator
 
 # bench/tracing.py times the layers by replacing the functions imported below,
 # and json, by name on this module: call them through these globals, and
@@ -189,11 +189,21 @@ class FockPoint(NamedTuple):
             return partial(fock_boson_amplitude, *self[:-1])
         return partial(fock_fermion_amplitude, *self[:-1])
 
-    def paths(self) -> int:
-        """The paths the point's first-quantized scatter attempts, counted exactly."""
-        if self.statistics is Statistics.BOSON:
-            return 2 * fock_counts(*self[:-1]).process_terms
-        return 2 * self.n1 * self.n2  # one Slater key
+    def paths(self, engine: str) -> int:
+        """The paths ``engine`` attempts at this point, counted exactly.
+
+        A scatter tries both processes on each (phi slot, psi slot) pair of
+        each term or key.  The fermion input is one Slater key, which both
+        exact routes walk.  The boson oracle's one occupation vector takes
+        one merged vertex, and the closed form walks nothing.
+        """
+        if engine == "closed":
+            return 0
+        if self.statistics is Statistics.FERMION:
+            return 2 * self.n1 * self.n2
+        if engine == "oracle":
+            return 1
+        return 2 * fock_counts(*self[:-1]).process_terms
 
     def divergence_note(self) -> str | None:
         if self.statistics is Statistics.FERMION:
@@ -239,19 +249,26 @@ class CoherentPoint(NamedTuple):
     def closed_form(self) -> Evaluator:
         return partial(coherent_amplitude, *self[:-1])
 
-    def paths(self) -> int:
-        """The paths the point's first-quantized scatter attempts, counted exactly.
+    def paths(self, engine: str) -> int:
+        """The paths ``engine`` attempts at this point, counted exactly.
 
-        A fermion point counts them twice: its oracle walks the same 3^n terms.
+        A scatter tries both processes on each (phi slot, psi slot) pair of
+        each term or key.  ``firstq`` walks the 3^n terms of the expansion,
+        and so does a fermion oracle, whose Slater keys are those terms.
+        The boson oracle takes one merged vertex per occupation vector with
+        a phi and a psi, and the closed form walks nothing.
         """
+        if engine == "closed":
+            return 0
         n, epsilon, statistics = self
+        per_term = engine == "firstq" or statistics is Statistics.FERMION
         paths = 0
-        for m in range(n + 1):
-            for k in range(n - m + 1):
+        for m in range(1, n):
+            for k in range(1, n - m + 1):
                 counts = coherent_counts(n, m, k, epsilon)
                 if counts.group_amplitude != 0:  # epsilon = 0 keeps only m + k = n
-                    paths += 2 * counts.process_terms
-        return paths if statistics is Statistics.BOSON else 2 * paths
+                    paths += 2 * counts.process_terms if per_term else 1
+        return paths
 
     def divergence_note(self) -> str | None:
         return None
@@ -427,8 +444,10 @@ def point_evaluators(point: Point, engines: tuple[str, ...]) -> dict[str, Evalua
     records, and only its (ca, cb) pairs are kept: no final state is built.
     Evaluating them at concrete amplitudes is cheap, so sweeping several
     (sa, sb) pairs per point reuses the expensive part.  A fermion point's
-    first-quantized state is built once: the oracle reads its Slater keys
-    through ``from_first_quantized``.
+    first-quantized state is built once per call: the oracle reads its
+    Slater keys through ``from_first_quantized``.  Each half of a point
+    whose exact routes run in two workers calls this with its own engines,
+    so each builds its own copy.
     """
     fermionic = point.statistics is Statistics.FERMION
     first_quantized = None
@@ -460,19 +479,37 @@ def _overflow_error(point: Point, sa: complex, sb: complex) -> UsageError:
     )
 
 
-def evaluate_point(
+def route_values(
+    point: Point, engines: tuple[str, ...], pairs: tuple[tuple[complex, complex], ...]
+) -> list[dict[str, float]]:
+    """The values of ``engines`` at one point, one dict per (sa, sb) pair.
+
+    An evaluator raises nothing but OverflowError, when it squares a finite
+    float past the largest one; that value reads as infinite.
+    """
+    evaluators = point_evaluators(point, engines)
+    return [
+        {engine: _value_at(norm, sa, sb) for engine, norm in evaluators.items()}
+        for sa, sb in pairs
+    ]
+
+
+def _value_at(norm: Evaluator, sa: complex, sb: complex) -> float:
+    try:
+        return norm(sa, sb)
+    except OverflowError:
+        return math.inf
+
+
+def point_record(
     point: Point,
     sa: complex,
     sb: complex,
-    evaluators: dict[str, Evaluator],
+    values: dict[str, float],
     tolerance: float,
 ) -> VerificationRecord:
-    try:
-        values = {engine: norm(sa, sb) for engine, norm in evaluators.items()}
-        finite = all(math.isfinite(value) for value in values.values())
-    except OverflowError:  # squaring a finite float past the largest one
-        finite = False
-    if not finite:
+    """Compare one point's engine values at (sa, sb); a value that is not finite is refused."""
+    if not all(math.isfinite(value) for value in values.values()):
         raise _overflow_error(point, sa, sb)
     names = sorted(values)
     max_dev = 0.0
@@ -510,27 +547,17 @@ def evaluate_point(
     )
 
 
-def point_records(
-    point: Point,
-    requested: tuple[str, ...] | None,
-    cap: int,
-    pairs: tuple[tuple[complex, complex], ...],
-    tolerance: float,
-) -> list[VerificationRecord]:
-    """One point's records, one per (sa, sb) pair, from evaluators built once."""
-    evaluators = point_evaluators(point, engines_for(point, requested, cap))
-    return [evaluate_point(point, sa, sb, evaluators, tolerance) for sa, sb in pairs]
-
-
 # What a pool of forked workers costs, in paths the serial loop would
 # scatter in the same time (about 1 us a path over verify --nmax 8).  On two
 # CPUs a pooled grid of two equal boson type1 points ends about 19 ms after
 # one of them alone would: (3,3,2) twice took 30 ms against 10.5 ms a point,
 # and (3,3,3) twice 48 ms against 30 ms.  A grid fans out only when the
-# paths of all its points but the costliest exceed that start.  A task
-# costs about 0.35 ms more to send and collect, so consecutive points share
+# paths of all its routes but the costliest exceed that start.  A task
+# costs about 0.35 ms more to send and collect, so consecutive routes share
 # one until it holds as many paths.
 POOL_MIN_PATHS = 20_000
+
+Plan = list[tuple[Point, tuple[str, ...]]]  # each point of a grid with its engines
 
 
 def _available_cpus() -> int:
@@ -540,33 +567,53 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_points(
-    work: Callable, points: list[Point], requested: tuple[str, ...] | None
-) -> Iterable[list[VerificationRecord]]:
-    """``work`` on each point, with its results in grid order.
+def _routes(point: Point, engines: tuple[str, ...]) -> list[tuple[tuple[str, ...], int]]:
+    """A point's routes with their predicted paths: its engines, or ``firstq`` and the rest.
 
-    A grid of two or more points that scatter, on a machine that can fork
-    and lets this process run on two or more CPUs, runs in a pool of forked
-    workers, one per CPU, when its predicted paths less its costliest
-    point's exceed ``POOL_MIN_PATHS``; any other grid runs here.  The
-    pool's tasks run the costliest first.  The first point, in grid order,
-    whose work raises re-raises here, as in the serial loop, and the tasks
-    still queued are cancelled.
+    A point splits when each of its two exact routes alone predicts more
+    than ``POOL_MIN_PATHS`` paths: they share no scattering code, so two
+    workers can run them at once.
     """
-    workers = min(_available_cpus(), len(points))
-    scatters = requested is None or not EXACT_ENGINES.isdisjoint(requested)
-    if workers < 2 or not scatters or not hasattr(os, "fork"):
-        return map(work, points)
-    costs = [point.paths() for point in points]
-    if sum(costs) - max(costs) <= POOL_MIN_PATHS:
-        return map(work, points)
+    paths = {engine: point.paths(engine) for engine in engines}
+    exact = [paths[engine] for engine in ("firstq", "oracle") if engine in paths]
+    if len(exact) == 2 and min(exact) > POOL_MIN_PATHS:
+        rest = tuple(e for e in engines if e != "firstq")
+        return [(("firstq",), paths["firstq"]), (rest, sum(paths[e] for e in rest))]
+    return [(engines, sum(paths.values()))]
+
+
+def _map_routes(work: Callable, plan: Plan) -> Generator[list, None, None]:
+    """Yield, for each point of the plan in grid order, ``work(point, engines)`` on its routes.
+
+    A grid that scatters, on a machine that can fork and lets this process
+    run on two or more CPUs, runs in a pool of forked workers, one per CPU
+    up to one per route, when its predicted paths less its costliest
+    route's exceed ``POOL_MIN_PATHS``; any other grid runs here, one route
+    per point.  The pool's tasks run the costliest first.  Each point's
+    results are yielded once they are all in, so a point whose records
+    raise does so before a later point's task is read, as in the serial
+    loop; close the generator to cancel the tasks still queued.
+    """
+    workers = _available_cpus()
+    scatters = any(not EXACT_ENGINES.isdisjoint(engines) for _, engines in plan)
+    pooled = workers >= 2 and scatters and hasattr(os, "fork")
+    if pooled:
+        split = [_routes(point, engines) for point, engines in plan]
+        routes = [(point, part) for (point, _), parts in zip(plan, split) for part, _ in parts]
+        costs = [cost for parts in split for _, cost in parts]
+        workers = min(workers, len(routes))
+        pooled = workers >= 2 and sum(costs) - max(costs) > POOL_MIN_PATHS
+    if not pooled:
+        for point, engines in plan:
+            yield [work(point, engines)]
+        return
 
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    # A task is a run of consecutive points, [paths, start, stop], closed
-    # once it holds POOL_MIN_PATHS paths; a point that holds them alone is a
-    # task of its own.  Within a task the points run in grid order, so the
+    # A task is a run of consecutive routes, [paths, start, stop], closed
+    # once it holds POOL_MIN_PATHS paths; a route that holds them alone is a
+    # task of its own.  Within a task the routes run in grid order, so the
     # first to raise is the one the serial loop would have raised.
     tasks: list[list[int]] = []
     for at, cost in enumerate(costs):
@@ -579,16 +626,18 @@ def _map_points(
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
         futures = {
-            start: pool.submit(_run_task, work, points[start:stop])
+            start: pool.submit(_run_task, work, routes[start:stop])
             for _, start, stop in sorted(tasks, reverse=True)
         }
-        return [records for _, start, _ in tasks for records in futures[start].result()]
+        results = (values for _, start, _ in tasks for values in futures[start].result())
+        for parts in split:
+            yield [next(results) for _ in parts]
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _run_task(work: Callable, points: list[Point]) -> list:
-    return list(map(work, points))
+def _run_task(work: Callable, routes: Plan) -> list:
+    return [work(point, engines) for point, engines in routes]
 
 
 def grid_records(
@@ -600,14 +649,32 @@ def grid_records(
     """Walk a grid: one record per point and (sa, sb) pair.
 
     Each point's evaluators are built once and shared by its pairs.  A grid
-    worth more than starting a pool runs its points in forked workers, one
-    per available CPU; the records come back in grid order either way.
+    worth more than starting a pool runs its routes in forked workers, one
+    per available CPU; a point's two exact routes can run in two of them.
+    The records are compared here, in grid order, and raise as the serial
+    loop would: first point, then first pair.
     """
-    work = partial(
-        point_records, requested=requested, cap=nmax_cap(), pairs=pairs, tolerance=tolerance
-    )
-    per_point = _map_points(work, points, requested)
-    return [record for records in per_point for record in records]
+    cap = nmax_cap()
+    plan: Plan = []
+    refused = None
+    for point in points:
+        try:
+            plan.append((point, engines_for(point, requested, cap)))
+        except UsageError as exc:  # raised once the points before it have their records
+            refused = exc
+            break
+    records = []
+    per_point = _map_routes(partial(route_values, pairs=pairs), plan)
+    try:
+        for (point, _), parts in zip(plan, per_point):
+            for (sa, sb), *values in zip(pairs, *parts):
+                merged = {engine: v for part in values for engine, v in part.items()}
+                records.append(point_record(point, sa, sb, merged, tolerance))
+    finally:
+        per_point.close()
+    if refused is not None:
+        raise refused
+    return records
 
 
 def run_records(cfg: RunConfig) -> list[VerificationRecord]:
@@ -999,7 +1066,13 @@ def _add_point_arguments(parser: argparse.ArgumentParser, skip: tuple[str, ...] 
     parser.add_argument("--config", help="flat key = value config file; flags override")
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Parsing leaves no state on it, and a new parser per call would leave its
+    cyclic objects to the garbage collector.
+    """
     parser = argparse.ArgumentParser(
         prog="mixbench",
         description="Exact combinatorial simulator for multi-particle"
@@ -1025,8 +1098,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _do_run(args)

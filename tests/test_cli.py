@@ -330,6 +330,10 @@ def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv, p
     assert multiprocessing.active_children() == []
 
 
+# One point whose two exact routes each walk 20,412 paths: enough for a
+# worker each at the default POOL_MIN_PATHS.
+SPLIT_POINT = ("run", "--experiment", "type2", "--statistics", "fermion", "--n", "7",
+               "--epsilon", "0.2", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv")
 POOL_CASES = [
     ("verify", "--nmax", "5", "--out", "report.json"),
     ("run", "--experiment", "type2", "--statistics", "fermion", "--n", "2:4",
@@ -340,13 +344,14 @@ POOL_CASES = [
     # the pool reports the first in grid order, as the serial loop does.
     ("run", "--experiment", "type1", "--statistics", "boson", "--n1", "1:3", "--n2", "1:3",
      "--n3", "0:2", "--sa=5e153"),
+    SPLIT_POINT,
 ]
 
 
 @pytest.mark.parametrize("argv", POOL_CASES)
 def test_a_pooled_grid_gives_the_serial_bytes(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    log_calls(monkeypatch, "engines_for", tmp_path / "points.log")
+    log_calls(monkeypatch, "point_evaluators", tmp_path / "points.log")
     results = []
     for pooled in (False, True):
         force_pool(monkeypatch, pooled)
@@ -364,6 +369,21 @@ def test_a_pooled_grid_gives_the_serial_bytes(capsys, monkeypatch, tmp_path, arg
             "error: --sa/--sb too large: sA=5e+153, sB=1 overflow the amplitude"
             " at n1=1 n2=3 n3=2\n",
         )
+
+
+def test_a_costly_point_runs_its_exact_routes_in_two_workers(capsys, monkeypatch, tmp_path):
+    if not hasattr(os, "fork") or cli._available_cpus() < 2:
+        pytest.skip("a pool needs fork and two CPUs")
+    for name in ("apply_first_order", "apply_fwm_operator"):
+        log_calls(monkeypatch, name, tmp_path / f"{name}.log")
+    code, out, _ = run_cli(capsys, *SPLIT_POINT)
+    assert code == 0 and out.count("\n") == 4  # the header and one row per engine
+    (scatter,), (ladder,) = (
+        {pid for pid, _ in logged_calls(tmp_path / f"{name}.log")}
+        for name in ("apply_first_order", "apply_fwm_operator")
+    )
+    assert len({scatter, ladder, os.getpid()}) == 3
+    assert multiprocessing.active_children() == []
 
 
 def test_a_pooled_grid_leaves_buffered_output_to_this_process(tmp_path):
@@ -389,7 +409,7 @@ def test_a_pooled_grid_leaves_buffered_output_to_this_process(tmp_path):
 def test_one_cpu_runs_the_grid_in_this_process(capsys, monkeypatch, tmp_path):
     force_pool(monkeypatch, True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    log_calls(monkeypatch, "engines_for", tmp_path / "points.log")
+    log_calls(monkeypatch, "point_evaluators", tmp_path / "points.log")
     code, _, _ = run_cli(capsys, *RUN_GRID)
     assert code == 0
     assert {pid for pid, _ in logged_calls(tmp_path / "points.log")} == {os.getpid()}
@@ -418,16 +438,23 @@ def test_without_an_affinity_mask_the_cpu_count_sizes_the_pool(monkeypatch):
     ids=[f"point{i}" for i in range(7)],
 )
 def test_point_paths_count_what_the_scatter_attempts(statistics, point_type, counts):
-    """Each term tries both processes on every (phi slot, psi slot) pair."""
+    """Each term or fermion key tries both processes on every (phi slot, psi slot) pair."""
     point = point_type(*counts, statistics)
-    state = point.first_quantized()
-    attempted = 0
-    for term in state.terms:
-        modes = [slot.mode for slot in term]
-        attempted += 2 * modes.count(Mode.PHI) * modes.count(Mode.PSI)
-    # A type2 fermion point's oracle walks the same terms once more.
-    passes = 2 if statistics is Statistics.FERMION and point.experiment == "type2" else 1
-    assert point.paths() == passes * attempted
+
+    def attempted(terms):
+        total = 0
+        for term in terms:
+            modes = [slot.mode for slot in term]
+            total += 2 * modes.count(Mode.PHI) * modes.count(Mode.PSI)
+        return total
+
+    assert point.paths("firstq") == attempted(point.first_quantized().terms)
+    keys = point.occupation().terms
+    if statistics is Statistics.FERMION:
+        assert point.paths("oracle") == attempted(keys)
+    else:  # one merged vertex per occupation vector with a phi and a psi
+        assert point.paths("oracle") == sum(1 for n_phi, n_psi, _, _ in keys if n_phi and n_psi)
+    assert point.paths("closed") == 0
 
 
 SIGNED_ZERO_PAIRS = [
@@ -466,6 +493,29 @@ def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, point)
     final_pairs = [(form.ca, form.cb) for form in final.terms.values()]
     for sa, sb in SIGNED_ZERO_PAIRS:
         assert firstq(sa, sb) == coefficient_norm(final_pairs, sa, sb)
+
+
+def test_main_builds_its_parser_once(capsys):
+    good = ("run", "--experiment", "type1", "--statistics", "boson",
+            "--n1", "2", "--n2", "1", "--n3", "1", "--format", "csv")
+    expected = run_cli(capsys, *good)  # builds the parser
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds unreachable
+    try:
+        assert run_cli(capsys, *good) == expected
+        assert run_cli(capsys, *good) == expected
+        gc.collect()
+        dropped = [obj for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert dropped == []
+    assert cli.make_parser() is cli.make_parser()
+    # A usage error leaves the shared parser as it was.
+    code, out, err = run_cli(capsys, "run", "--experiment", "type3")
+    assert (code, out) == (2, "") and err.startswith("usage: mixbench")
+    assert run_cli(capsys, *good) == expected
 
 
 def test_one_config_file_serves_run_and_paths(capsys, tmp_path):
@@ -643,6 +693,23 @@ def test_cap_override_via_environment(capsys, monkeypatch):
     )
     assert code == 2
     assert "capped at n = 5" in err
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_a_grid_reports_its_first_refusal_in_grid_order(capsys, monkeypatch, pooled):
+    """The capped last point is refused only if the points before it raise nothing."""
+    force_pool(monkeypatch, pooled)
+    monkeypatch.setenv("MIXBENCH_NMAX_CAP", "5")
+    grid = ("run", "--experiment", "type1", "--statistics", "fermion",
+            "--n1", "2", "--n2", "2", "--n3", "0:2", "--engines", "firstq")
+    code, out, err = run_cli(capsys, *grid, "--sa=5e154")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --sa/--sb too large: sA=5e+154, sB=1 overflow the amplitude at n1=2 n2=2 n3=0\n"
+    )
+    code, out, err = run_cli(capsys, *grid)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: first-quantized fermion engine capped at n = 5")
 
 
 def test_invalid_cap_environment_exits_two(capsys, monkeypatch):
