@@ -69,9 +69,6 @@ class AmplitudeForm:
     def __reduce__(self) -> tuple:
         return type(self), (self.ca, self.cb)
 
-    def evaluate(self, sa: complex, sb: complex) -> complex:
-        return self.ca * complex(sa) + self.cb * complex(sb)
-
 
 def approx_eq(a: complex, b: complex, tol: float) -> bool:
     """Mixed absolute/relative comparison: |a-b| <= tol*max(1, |a|, |b|)."""

@@ -46,7 +46,6 @@ from .oracle import (
     apply_fwm_operator,
     coherent_occupation_state,
     fock_occupation_state,
-    from_first_quantized,
     oracle_scattered_norm,
 )
 from .states import (
@@ -401,7 +400,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     engines: tuple[str, ...] | None = None
     engines_text = pick("engines")
     if engines_text is not None:
-        engines = tuple(part.strip() for part in engines_text.split(",") if part.strip())
+        # An engine named twice runs once, in the place it is first named.
+        engines = tuple(
+            dict.fromkeys(part.strip() for part in engines_text.split(",") if part.strip())
+        )
         bad = [e for e in engines if e not in ALL_ENGINES]
         if bad or not engines:
             raise UsageError(f"--engines accepts a comma list from {', '.join(ALL_ENGINES)}")
@@ -437,39 +439,26 @@ def engines_for(point: Point, requested: tuple[str, ...] | None, cap: int) -> tu
     return ALL_ENGINES
 
 
-def point_evaluators(point: Point, engines: tuple[str, ...]) -> dict[str, Evaluator]:
-    """Per-engine callables (sa, sb) -> amplitude for one grid point.
+def engine_evaluator(point: Point, engine: str) -> Evaluator:
+    """One engine's callable (sa, sb) -> amplitude at one grid point, from its own input.
 
-    The first-quantized scattering is applied once here, without per-path
-    records, and only its (ca, cb) pairs are kept: no final state is built.
+    ``firstq`` scatters ``point.first_quantized()`` once, without per-path
+    records, and keeps only its (ca, cb) pairs: no final state is built.
     Evaluating them at concrete amplitudes is cheap, so sweeping several
-    (sa, sb) pairs per point reuses the expensive part.  A fermion point's
-    first-quantized state is built once per call: the oracle reads its
-    Slater keys through ``from_first_quantized``.  Each half of a point
-    whose exact routes run in two workers calls this with its own engines,
-    so each builds its own copy.
+    (sa, sb) pairs per point reuses the expensive part.  ``oracle`` reads
+    ``point.occupation()`` and ``closed`` the point's closed form.
     """
-    fermionic = point.statistics is Statistics.FERMION
-    first_quantized = None
-    if "firstq" in engines or (fermionic and "oracle" in engines):
-        first_quantized = point.first_quantized()
-    evaluators: dict[str, Evaluator] = {}
-    if "firstq" in engines:
-        pairs = apply_first_order(first_quantized, paths=False).coefficients
-        evaluators["firstq"] = partial(coefficient_norm, pairs)
-    if "oracle" in engines:
-        if fermionic:
-            initial = from_first_quantized(first_quantized)
-        else:
-            initial = point.occupation()
+    if engine == "firstq":
+        pairs = apply_first_order(point.first_quantized(), paths=False).coefficients
+        return partial(coefficient_norm, pairs)
+    if engine == "oracle":
+        initial = point.occupation()
 
         def oracle(sa: complex, sb: complex) -> float:
             return oracle_scattered_norm(apply_fwm_operator(initial, sa, sb))
 
-        evaluators["oracle"] = oracle
-    if "closed" in engines:
-        evaluators["closed"] = point.closed_form()
-    return evaluators
+        return oracle
+    return point.closed_form()
 
 
 def _overflow_error(point: Point, sa: complex, sb: complex) -> UsageError:
@@ -480,18 +469,15 @@ def _overflow_error(point: Point, sa: complex, sb: complex) -> UsageError:
 
 
 def route_values(
-    point: Point, engines: tuple[str, ...], pairs: tuple[tuple[complex, complex], ...]
-) -> list[dict[str, float]]:
-    """The values of ``engines`` at one point, one dict per (sa, sb) pair.
+    point: Point, engine: str, pairs: tuple[tuple[complex, complex], ...]
+) -> list[float]:
+    """The values of one engine at one point, one per (sa, sb) pair.
 
     An evaluator raises nothing but OverflowError, when it squares a finite
     float past the largest one; that value reads as infinite.
     """
-    evaluators = point_evaluators(point, engines)
-    return [
-        {engine: _value_at(norm, sa, sb) for engine, norm in evaluators.items()}
-        for sa, sb in pairs
-    ]
+    norm = engine_evaluator(point, engine)
+    return [_value_at(norm, sa, sb) for sa, sb in pairs]
 
 
 def _value_at(norm: Evaluator, sa: complex, sb: complex) -> float:
@@ -551,13 +537,11 @@ def point_record(
 # scatter in the same time (about 1 us a path over verify --nmax 8).  On two
 # CPUs a pooled grid of two equal boson type1 points ends about 19 ms after
 # one of them alone would: (3,3,2) twice took 30 ms against 10.5 ms a point,
-# and (3,3,3) twice 48 ms against 30 ms.  A grid fans out only when the
-# paths of all its routes but the costliest exceed that start.  A task
-# costs about 0.35 ms more to send and collect, so consecutive routes share
-# one until it holds as many paths.
+# and (3,3,3) twice 48 ms against 30 ms.  A route is one engine at one
+# point, and a grid fans out only when the paths of all its routes but the
+# costliest exceed that start.  A task costs about 0.35 ms more to send and
+# collect, so consecutive routes share one until it holds as many paths.
 POOL_MIN_PATHS = 20_000
-
-Plan = list[tuple[Point, tuple[str, ...]]]  # each point of a grid with its engines
 
 
 def _available_cpus() -> int:
@@ -567,57 +551,42 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _routes(point: Point, engines: tuple[str, ...]) -> list[tuple[tuple[str, ...], int]]:
-    """A point's routes with their predicted paths: its engines, or ``firstq`` and the rest.
-
-    A point splits when each of its two exact routes alone predicts more
-    than ``POOL_MIN_PATHS`` paths: they share no scattering code, so two
-    workers can run them at once.
-    """
-    paths = {engine: point.paths(engine) for engine in engines}
-    exact = [paths[engine] for engine in ("firstq", "oracle") if engine in paths]
-    if len(exact) == 2 and min(exact) > POOL_MIN_PATHS:
-        rest = tuple(e for e in engines if e != "firstq")
-        return [(("firstq",), paths["firstq"]), (rest, sum(paths[e] for e in rest))]
-    return [(engines, sum(paths.values()))]
-
-
-def _map_routes(work: Callable, plan: Plan) -> Generator[list, None, None]:
-    """Yield, for each point of the plan in grid order, ``work(point, engines)`` on its routes.
+def _map_routes(
+    routes: list[tuple[Point, str]], pairs: tuple[tuple[complex, complex], ...]
+) -> Generator[list[float], None, None]:
+    """Yield ``route_values(point, engine, pairs)`` for each route, in order.
 
     A grid that scatters, on a machine that can fork and lets this process
     run on two or more CPUs, runs in a pool of forked workers, one per CPU
     up to one per route, when its predicted paths less its costliest
-    route's exceed ``POOL_MIN_PATHS``; any other grid runs here, one route
-    per point.  The pool's tasks run the costliest first.  Each point's
-    results are yielded once they are all in, so a point whose records
-    raise does so before a later point's task is read, as in the serial
-    loop; close the generator to cancel the tasks still queued.
+    route's exceed ``POOL_MIN_PATHS``; any other grid runs here.  The
+    pool's tasks run the costliest first, and their results are yielded in
+    route order, so a point whose records raise does so before a later
+    point's task is read, as in the serial loop; close the generator to
+    cancel the tasks still queued.
     """
     workers = _available_cpus()
-    scatters = any(not EXACT_ENGINES.isdisjoint(engines) for _, engines in plan)
+    scatters = any(engine in EXACT_ENGINES for _, engine in routes)
     pooled = workers >= 2 and scatters and hasattr(os, "fork")
     if pooled:
-        split = [_routes(point, engines) for point, engines in plan]
-        routes = [(point, part) for (point, _), parts in zip(plan, split) for part, _ in parts]
-        costs = [cost for parts in split for _, cost in parts]
+        costs = [point.paths(engine) for point, engine in routes]
         workers = min(workers, len(routes))
         pooled = workers >= 2 and sum(costs) - max(costs) > POOL_MIN_PATHS
     if not pooled:
-        for point, engines in plan:
-            yield [work(point, engines)]
+        for point, engine in routes:
+            yield route_values(point, engine, pairs)
         return
 
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     # A task is a run of consecutive routes, [paths, start, stop], closed
-    # once it holds POOL_MIN_PATHS paths; a route that holds them alone is a
-    # task of its own.  Within a task the routes run in grid order, so the
-    # first to raise is the one the serial loop would have raised.
+    # once it holds POOL_MIN_PATHS paths.  Within a task the routes run in
+    # grid order, so the first to raise is the one the serial loop would
+    # have raised.
     tasks: list[list[int]] = []
     for at, cost in enumerate(costs):
-        if not tasks or tasks[-1][0] >= POOL_MIN_PATHS or cost >= POOL_MIN_PATHS:
+        if not tasks or tasks[-1][0] >= POOL_MIN_PATHS:
             tasks.append([0, at, at])
         tasks[-1][0] += cost
         tasks[-1][2] = at + 1
@@ -626,18 +595,19 @@ def _map_routes(work: Callable, plan: Plan) -> Generator[list, None, None]:
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
         futures = {
-            start: pool.submit(_run_task, work, routes[start:stop])
+            start: pool.submit(_run_task, routes[start:stop], pairs)
             for _, start, stop in sorted(tasks, reverse=True)
         }
-        results = (values for _, start, _ in tasks for values in futures[start].result())
-        for parts in split:
-            yield [next(results) for _ in parts]
+        for _, start, _ in tasks:
+            yield from futures[start].result()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _run_task(work: Callable, routes: Plan) -> list:
-    return [work(point, engines) for point, engines in routes]
+def _run_task(
+    routes: list[tuple[Point, str]], pairs: tuple[tuple[complex, complex], ...]
+) -> list[list[float]]:
+    return [route_values(point, engine, pairs) for point, engine in routes]
 
 
 def grid_records(
@@ -648,14 +618,14 @@ def grid_records(
 ) -> list[VerificationRecord]:
     """Walk a grid: one record per point and (sa, sb) pair.
 
-    Each point's evaluators are built once and shared by its pairs.  A grid
-    worth more than starting a pool runs its routes in forked workers, one
-    per available CPU; a point's two exact routes can run in two of them.
-    The records are compared here, in grid order, and raise as the serial
-    loop would: first point, then first pair.
+    Each route, one engine at one point, builds its engine's input once and
+    evaluates it at every pair.  A grid worth more than starting a pool
+    runs its routes in forked workers, one per available CPU.  The records
+    are compared here, in grid order, and raise as the serial loop would:
+    first point, then first pair.
     """
     cap = nmax_cap()
-    plan: Plan = []
+    plan = []  # each point of the grid with its engines
     refused = None
     for point in points:
         try:
@@ -663,15 +633,16 @@ def grid_records(
         except UsageError as exc:  # raised once the points before it have their records
             refused = exc
             break
+    routes = [(point, engine) for point, engines in plan for engine in engines]
+    per_route = _map_routes(routes, pairs)
     records = []
-    per_point = _map_routes(partial(route_values, pairs=pairs), plan)
     try:
-        for (point, _), parts in zip(plan, per_point):
-            for (sa, sb), *values in zip(pairs, *parts):
-                merged = {engine: v for part in values for engine, v in part.items()}
-                records.append(point_record(point, sa, sb, merged, tolerance))
+        for point, engines in plan:
+            columns = [next(per_route) for _ in engines]
+            for (sa, sb), *values in zip(pairs, *columns):
+                records.append(point_record(point, sa, sb, dict(zip(engines, values)), tolerance))
     finally:
-        per_point.close()
+        per_route.close()
     if refused is not None:
         raise refused
     return records

@@ -315,5 +315,5 @@ def _rank_slots(state: OccupationState) -> tuple[tuple[SingleParticleState, ...]
 
 
 def oracle_scattered_norm(result: ScatteredOccupation) -> float:
-    """Plain l2 norm of a scattered occupation state, read from its sums."""
-    return l2_norm(total for _, total in result.sums)
+    """The l2 norm of a scattered occupation state, read from its sums."""
+    return l2_norm(lambda: (total for _, total in result.sums))

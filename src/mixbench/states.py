@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from enum import Enum, IntEnum
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "ManyBodyState",
@@ -366,23 +367,37 @@ def _subsets(r: int, size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
 
 def state_norm(state: ManyBodyState) -> float:
     """Norm of an unscattered state: the l2 norm of its coefficients."""
-    return l2_norm(state.terms.values())
+    return l2_norm(state.terms.values)
 
 
 def coefficient_norm(
-    pairs: Iterable[tuple[complex, complex]], sa: complex = 0j, sb: complex = 0j
+    pairs: Collection[tuple[complex, complex]], sa: complex = 0j, sb: complex = 0j
 ) -> float:
     """Norm of a scattered state from its ``(ca, cb)`` pairs evaluated at ``(sa, sb)``."""
     sa, sb = complex(sa), complex(sb)
-    return l2_norm(ca * sa + cb * sb for ca, cb in pairs)
+    return l2_norm(lambda: (ca * sa + cb * sb for ca, cb in pairs))
 
 
-def l2_norm(values: Iterable[complex]) -> float:
-    """The one norm loop: sqrt of the sum of |value|^2, in iteration order."""
+def l2_norm(values: Callable[[], Iterable[complex]]) -> float:
+    """The one norm loop: sqrt of the sum of |value|^2, in the order ``values()`` gives them.
+
+    A sum below the smallest normal float has lost digits, or all of them,
+    to underflow: it is taken again over the values divided by the largest
+    magnitude, so a tiny norm is not read as zero.  Only exact zeros give
+    0.0.  Every larger sum keeps the plain loop's bits.
+    """
     total = 0.0
-    for value in values:
+    for value in values():
         total += abs(value) ** 2
-    return math.sqrt(total)
+    if total >= sys.float_info.min:
+        return math.sqrt(total)
+    scale = max(map(abs, values()), default=0.0)
+    if scale == 0.0:
+        return 0.0
+    total = 0.0
+    for value in values():
+        total += (abs(value) / scale) ** 2
+    return scale * math.sqrt(total)
 
 
 def render_term(term: ProductTerm) -> str:

@@ -20,12 +20,6 @@ finite_floats = st.floats(
 finite_complex = st.builds(complex, finite_floats, finite_floats)
 
 
-def test_form_evaluate_is_linear_in_coefficients():
-    f = AmplitudeForm(1 + 1j, -2)
-    sa, sb = 0.3 + 0.1j, 0.2 + 0j
-    assert f.evaluate(sa, sb) == (1 + 1j) * sa + (-2) * sb
-
-
 def test_non_finite_coefficients_rejected():
     with pytest.raises(ValueError, match="ca must be finite, got"):
         AmplitudeForm(ca=float("nan"))

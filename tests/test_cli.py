@@ -271,8 +271,12 @@ def force_pool(monkeypatch, pooled):
     monkeypatch.setattr(cli, "POOL_MIN_PATHS", -1 if pooled else math.inf)
 
 
-def log_calls(monkeypatch, name, log):
-    """Append the pid and paths flag of each call of cli.<name> to a file.
+def paths_flag(*args, **kwargs):
+    return kwargs.get("paths", True)
+
+
+def log_calls(monkeypatch, name, log, detail=paths_flag):
+    """Append the pid and ``detail`` of each call of cli.<name> to a file.
 
     A file, because a pool worker's calls would not reach a list of this process.
     """
@@ -280,17 +284,23 @@ def log_calls(monkeypatch, name, log):
 
     def spy(*args, **kwargs):
         with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {kwargs.get('paths', True)}\n")
+            handle.write(f"{os.getpid()} {detail(*args, **kwargs)}\n")
         return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, spy)
 
 
 def logged_calls(log):
-    """(pid, paths flag) of each logged call."""
+    """(pid, detail text) of each logged call."""
     if not log.exists():
         return []
-    return [(int(pid), flag == "True") for pid, flag in map(str.split, log.read_text().splitlines())]
+    lines = log.read_text().splitlines()
+    return [(int(pid), detail) for pid, detail in (line.split(" ", 1) for line in lines)]
+
+
+def log_routes(monkeypatch, log):
+    """Log each route, one engine at one point, with the pid that runs it."""
+    log_calls(monkeypatch, "route_values", log, lambda point, engine, pairs: f"{point!r} {engine}")
 
 
 RUN_GRID = ("run", "--experiment", "type1", "--statistics", "boson",
@@ -320,7 +330,7 @@ def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv, p
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     calls = logged_calls(tmp_path / "scatters.log")
-    seen = [flag for _, flag in calls]
+    seen = [flag == "True" for _, flag in calls]
     if argv[0] == "paths":
         assert seen == [True]  # one scatter, whose records the listing reads
     else:
@@ -351,7 +361,7 @@ POOL_CASES = [
 @pytest.mark.parametrize("argv", POOL_CASES)
 def test_a_pooled_grid_gives_the_serial_bytes(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    log_calls(monkeypatch, "point_evaluators", tmp_path / "points.log")
+    log_routes(monkeypatch, tmp_path / "points.log")
     results = []
     for pooled in (False, True):
         force_pool(monkeypatch, pooled)
@@ -409,7 +419,7 @@ def test_a_pooled_grid_leaves_buffered_output_to_this_process(tmp_path):
 def test_one_cpu_runs_the_grid_in_this_process(capsys, monkeypatch, tmp_path):
     force_pool(monkeypatch, True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    log_calls(monkeypatch, "point_evaluators", tmp_path / "points.log")
+    log_routes(monkeypatch, tmp_path / "points.log")
     code, _, _ = run_cli(capsys, *RUN_GRID)
     assert code == 0
     assert {pid for pid, _ in logged_calls(tmp_path / "points.log")} == {os.getpid()}
@@ -484,7 +494,7 @@ def test_firstq_evaluator_is_state_norm_and_keeps_only_pairs(monkeypatch, point)
         return result
 
     monkeypatch.setattr(cli, "apply_first_order", spy)
-    firstq = cli.point_evaluators(point, ("firstq",))["firstq"]
+    firstq = cli.engine_evaluator(point, "firstq")
     gc.collect()
     assert [ref() for ref in results] == [None]  # the result, its state and sums are gone
     (pairs,) = firstq.args  # what the evaluator keeps: (ca, cb) pairs, no terms or forms
@@ -767,22 +777,122 @@ def test_run_keeps_large_finite_amplitudes(capsys, engines):
         assert row.endswith(",5.656854249492381e+100")
 
 
+def csv_amplitudes(out):
+    return {row["engine"]: float(row["amplitude"]) for row in csv.DictReader(io.StringIO(out))}
+
+
+@pytest.mark.parametrize(
+    "flags,sa,sb",
+    [
+        (("--experiment", "type1", "--statistics", "boson", "--n1", "1", "--n2", "1",
+          "--n3", "0"), 1e-200, 1e-200),
+        (("--experiment", "type2", "--statistics", "fermion", "--n", "4", "--epsilon", "0.2"),
+         1e-160, 3e-160),
+        (("--experiment", "type2", "--statistics", "boson", "--n", "4", "--epsilon", "0.2"),
+         1e-170, -2e-170),
+    ],
+)
+def test_run_keeps_tiny_amplitudes_exact(capsys, flags, sa, sb):
+    """A norm whose squares underflow is not read as a Pauli zero, nor loses digits."""
+    code, out, _ = run_cli(capsys, "run", *flags, f"--sa={sa!r}", f"--sb={sb!r}", "--format", "csv")
+    assert code == 0
+    tiny = csv_amplitudes(out)
+    code, out, _ = run_cli(capsys, "run", *flags, f"--sa={sa / sa!r}", f"--sb={sb / sa!r}",
+                           "--format", "csv")
+    unit = csv_amplitudes(out)
+    for engine in ("firstq", "oracle"):
+        assert tiny[engine] > 0.0
+        assert tiny[engine] == pytest.approx(tiny["closed"], rel=1e-14, abs=0.0)
+        assert tiny[engine] == pytest.approx(unit[engine] * sa, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n1,n2,n3,sb", [("1", "1", "0", "1e-200"), ("2", "2", "2", "3e-200")])
+def test_run_keeps_tiny_pauli_zeros_exact(capsys, n1, n2, n3, sb):
+    code, out, _ = run_cli(
+        capsys, "run", "--experiment", "type1", "--statistics", "fermion",
+        "--n1", n1, "--n2", n2, "--n3", n3, "--sa=1e-200", f"--sb={sb}", "--format", "csv",
+    )
+    assert code == 0
+    values = csv_amplitudes(out)
+    assert values["firstq"] == values["oracle"] == 0.0
+
+
 @pytest.mark.parametrize(
     "point",
-    [cli.FockPoint(3, 2, 1, Statistics.FERMION), cli.CoherentPoint(4, 0.2, Statistics.FERMION)],
+    [
+        cli.FockPoint(3, 2, 1, Statistics.FERMION),
+        cli.CoherentPoint(4, 0.2, Statistics.FERMION),
+        cli.FockPoint(3, 2, 1, Statistics.BOSON),
+        cli.CoherentPoint(4, 0.2, Statistics.BOSON),
+    ],
 )
-def test_a_fermion_point_builds_one_first_quantized_state(monkeypatch, point):
+def test_each_route_builds_only_its_own_input(monkeypatch, point):
+    builders = {
+        cli: ("fock_initial_state", "coherent_initial_state",
+              "fock_occupation_state", "coherent_occupation_state"),
+        oracle: ("fock_initial_state", "coherent_initial_state"),
+    }
     builds = []
-    for module in (cli, oracle):
-        for name in ("fock_initial_state", "coherent_initial_state"):
-            def counted(*args, build=getattr(module, name)):
-                builds.append(args)
+    for module, names in builders.items():
+        for name in names:
+            def counted(*args, build=getattr(module, name), name=name):
+                builds.append((name, args))
                 return build(*args)
 
             monkeypatch.setattr(module, name, counted)
-    evaluators = cli.point_evaluators(point, ("firstq", "oracle"))
-    assert builds == [tuple(point)]  # a point is its builder's arguments
-    assert evaluators["oracle"](1, 1) == pytest.approx(evaluators["firstq"](1, 1), abs=1e-12)
+    kind = "fock" if point.experiment == "type1" else "coherent"
+    # The fermion oracle reads the Slater keys of the first-quantized input.
+    oracle_input = [f"{kind}_occupation_state"]
+    if point.statistics is Statistics.FERMION:
+        oracle_input.append(f"{kind}_initial_state")
+    expected = {"firstq": [f"{kind}_initial_state"], "oracle": oracle_input, "closed": []}
+    values = {}
+    for engine in cli.ALL_ENGINES:
+        builds.clear()
+        (values[engine],) = cli.route_values(point, engine, ((1, 1),))
+        assert [name for name, _ in builds] == expected[engine]
+        assert all(args == tuple(point) for _, args in builds)  # a point is its builder's arguments
+    assert values["oracle"] == pytest.approx(values["firstq"], abs=1e-12)
+
+
+ROUTE_GRIDS = [
+    ("verify", "--nmax", "5", "--out", "report.json"),
+    ("run", "--experiment", "type2", "--statistics", "fermion", "--n", "2:7",
+     "--epsilon", "0,0.2", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv", ROUTE_GRIDS, ids=["verify", "type2-fermion"])
+def test_a_pooled_grid_runs_each_route_once(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "routes.log"
+    log_routes(monkeypatch, log)
+    runs = []
+    for pooled in (False, True):
+        force_pool(monkeypatch, pooled)
+        before = len(logged_calls(log))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        runs.append(logged_calls(log)[before:])
+    serial, pooled = runs
+    routes = [route for _, route in serial]
+    assert len(set(routes)) == len(routes)  # the serial loop runs each (point, engine) once
+    assert sorted(route for _, route in pooled) == sorted(routes)
+    assert {pid for pid, _ in serial} == {os.getpid()}
+    assert os.getpid() not in {pid for pid, _ in pooled}
+    assert multiprocessing.active_children() == []
+
+
+def test_an_engine_named_twice_runs_once(capsys, monkeypatch, tmp_path):
+    point = ("run", "--experiment", "type2", "--statistics", "fermion", "--n", "4",
+             "--epsilon", "0.2", "--format", "csv")
+    force_pool(monkeypatch, False)
+    _, once, _ = run_cli(capsys, *point, "--engines", "firstq,oracle,closed")
+    log_routes(monkeypatch, tmp_path / "routes.log")
+    code, out, _ = run_cli(capsys, *point, "--engines", "firstq, oracle,firstq,closed,oracle")
+    assert (code, out) == (0, once)
+    engines = [route.rsplit(" ", 1)[1] for _, route in logged_calls(tmp_path / "routes.log")]
+    assert engines == ["firstq", "oracle", "closed"]
 
 
 def test_paths_builds_only_the_source_sector(monkeypatch, capsys):
@@ -1076,7 +1186,7 @@ def test_paths_json_is_json_dumps_of_the_reference(capsys, state, flags, destina
     doc = []
     for dest, (paths, _) in path_report(result, parse_term(destination)).items():
         form = result.final_state.terms.get(dest)
-        value = 0j if form is None else form.evaluate(parse_complex(sa), parse_complex(sb))
+        value = 0j if form is None else form.ca * parse_complex(sa) + form.cb * parse_complex(sb)
         doc.append(
             {
                 "destination": render_term(dest),

@@ -745,7 +745,7 @@ def evaluated_norm(state, sa, sb):
     """The norm of a scattered state as each form evaluates it, in term order."""
     total = 0.0
     for form in state.terms.values():
-        total += abs(form.evaluate(sa, sb)) ** 2
+        total += abs(form.ca * sa + form.cb * sb) ** 2
     return math.sqrt(total)
 
 

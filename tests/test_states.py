@@ -371,3 +371,45 @@ fermion_terms = fermion_slots.map(lambda pairs: f(*pairs))
 @given(st.one_of(st.lists(boson_terms), st.lists(fermion_terms)))
 def test_terms_sort_by_themselves_in_canonical_term_order(terms):
     assert sorted(terms) == sorted(terms, key=_term_sort_key)
+
+
+def plain_norm(values):
+    """The norm loop without the underflow pass: sqrt of the sum of |value|^2, in order."""
+    total = 0.0
+    for value in values:
+        total += abs(value) ** 2
+    return math.sqrt(total)
+
+
+tiny_or_normal = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.floats(min_value=-1e-150, max_value=1e-150, allow_nan=False),
+)
+
+
+@given(st.lists(st.builds(complex, tiny_or_normal, tiny_or_normal), max_size=8))
+def test_l2_norm_keeps_the_plain_loops_bits_above_underflow(values):
+    plain = plain_norm(values)
+    norm = states.l2_norm(lambda: iter(values))
+    if plain**2 >= 1e-300:  # well above the smallest normal float
+        assert repr(norm) == repr(plain)
+    elif any(values):
+        largest = max(map(abs, values))
+        assert largest * (1 - 1e-12) <= norm <= largest * math.sqrt(len(values)) * (1 + 1e-12)
+    else:
+        assert norm == 0.0
+
+
+@pytest.mark.parametrize(
+    "values,norm",
+    [
+        ([1e-200], 1e-200),
+        ([3e-200j, -4e-200], 5e-200),
+        ([complex(3e-170, 4e-170)] * 4, 1e-169),
+        ([0j, 0j], 0.0),
+        ([], 0.0),
+    ],
+)
+def test_l2_norm_does_not_underflow_to_zero(values, norm):
+    assert plain_norm(values) < norm or norm == 0.0  # the plain loop loses it
+    assert states.l2_norm(lambda: iter(values)) == pytest.approx(norm, rel=1e-15, abs=0.0)
