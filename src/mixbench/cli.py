@@ -11,12 +11,13 @@ import cmath
 import csv
 import io
 import json
+import marshal
 import math
 import os
 import sys
 from functools import cache, partial
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from collections import Counter
 from collections.abc import Callable, Generator
@@ -533,14 +534,15 @@ def point_record(
     )
 
 
-# What a pool of forked workers costs, in paths the serial loop would
+# What forking a grid's workers costs, in paths the serial loop would
 # scatter in the same time (about 1 us a path over verify --nmax 8).  On two
-# CPUs a pooled grid of two equal boson type1 points ends about 19 ms after
-# one of them alone would: (3,3,2) twice took 30 ms against 10.5 ms a point,
-# and (3,3,3) twice 48 ms against 30 ms.  A route is one engine at one
-# point, and a grid fans out only when the paths of all its routes but the
-# costliest exceed that start.  A task costs about 0.35 ms more to send and
-# collect, so consecutive routes share one until it holds as many paths.
+# shared CPUs a forked grid of two equal boson type1 points ends 5-9 ms after
+# one of them alone would: (3,3,2) twice took 10-14 ms against 5-6 ms a
+# point, and (3,3,3) twice 22-25 ms against 15-16 ms (medians of 31 calls).
+# A route is one engine at one point, and a grid fans out only when the paths
+# of all its routes but the costliest exceed this start.  It was set when a
+# process-pool executor cost about twice as much, and is kept so that the
+# same grids fan out.
 POOL_MIN_PATHS = 20_000
 
 
@@ -557,13 +559,17 @@ def _map_routes(
     """Yield ``route_values(point, engine, pairs)`` for each route, in order.
 
     A grid that scatters, on a machine that can fork and lets this process
-    run on two or more CPUs, runs in a pool of forked workers, one per CPU
-    up to one per route, when its predicted paths less its costliest
-    route's exceed ``POOL_MIN_PATHS``; any other grid runs here.  The
-    pool's tasks run the costliest first, and their results are yielded in
-    route order, so a point whose records raise does so before a later
-    point's task is read, as in the serial loop; close the generator to
-    cancel the tasks still queued.
+    run on two or more CPUs, is forked into one child per CPU, up to one per
+    route, when its predicted paths less its costliest route's exceed
+    ``POOL_MIN_PATHS``; any other grid runs here.  The routes are dealt
+    costliest first, each to the child with the fewest predicted paths so
+    far.  A child runs its share in grid order and writes each route's
+    values, or the exception that ends its share, to its own pipe.  This
+    process runs no route: it reads each one from its child's pipe when it
+    is next in grid order, so the first failure in grid order is the one
+    raised, as in the serial loop, and a child that exits without its
+    values raises RuntimeError.  Finishing, raising or closing the generator
+    kills and reaps every child.
     """
     workers = _available_cpus()
     scatters = any(engine in EXACT_ENGINES for _, engine in routes)
@@ -577,37 +583,82 @@ def _map_routes(
             yield route_values(point, engine, pairs)
         return
 
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    # A task is a run of consecutive routes, [paths, start, stop], closed
-    # once it holds POOL_MIN_PATHS paths.  Within a task the routes run in
-    # grid order, so the first to raise is the one the serial loop would
-    # have raised.
-    tasks: list[list[int]] = []
-    for at, cost in enumerate(costs):
-        if not tasks or tasks[-1][0] >= POOL_MIN_PATHS:
-            tasks.append([0, at, at])
-        tasks[-1][0] += cost
-        tasks[-1][2] = at + 1
-    # multiprocessing flushes sys.stdout and sys.stderr before each fork, so
-    # no worker holds output of this process to write a second time.
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for at in sorted(range(len(routes)), key=costs.__getitem__, reverse=True):
+        child = min(range(workers), key=lambda c: (loads[c], len(shares[c])))
+        shares[child].append(at)
+        loads[child] += costs[at]
+    for share in shares:
+        share.sort()  # a child runs its routes in grid order, as they are read
+    reader_of = [None] * len(routes)
+    pids = []
+    readers = []
+    # A child leaves through os._exit, which writes none of its buffers; what
+    # this process has buffered is written once, here, before it forks.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when started without the descriptor
+            stream.flush()
     try:
-        futures = {
-            start: pool.submit(_run_task, routes[start:stop], pairs)
-            for _, start, stop in sorted(tasks, reverse=True)
-        }
-        for _, start, _ in tasks:
-            yield from futures[start].result()
+        for share in shares:
+            read, write = os.pipe()
+            readers.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(share, routes, pairs, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+            for at in share:
+                reader_of[at] = readers[-1]
+        for (point, engine), reader in zip(routes, reader_of):
+            try:
+                values = marshal.load(reader)
+            except EOFError:
+                raise RuntimeError(
+                    f"a worker exited without the {engine} values at {point.text()}"
+                ) from None
+            if isinstance(values, bytes):  # the exception the route raised
+                import pickle
+
+                raise pickle.loads(values)
+            yield values
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL: a child may still be running routes no one will read
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
-def _run_task(
-    routes: list[tuple[Point, str]], pairs: tuple[tuple[complex, complex], ...]
-) -> list[list[float]]:
-    return [route_values(point, engine, pairs) for point, engine in routes]
+def _run_share(
+    share: list[int],
+    routes: list[tuple[Point, str]],
+    pairs: tuple[tuple[complex, complex], ...],
+    write: int,
+) -> NoReturn:
+    """In a forked child: marshal each route's values to ``write``, in order, then exit.
+
+    A route that raises ends the share; its exception is sent pickled, as
+    bytes, and the routes after it are not run.
+    """
+    code = 1
+    try:
+        with open(write, "wb") as out:
+            for at in share:
+                try:
+                    values = route_values(*routes[at], pairs)
+                except BaseException as exc:  # the parent raises it, in grid order
+                    import pickle
+
+                    marshal.dump(pickle.dumps(exc), out)
+                    break
+                marshal.dump(values, out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def grid_records(
@@ -619,8 +670,8 @@ def grid_records(
     """Walk a grid: one record per point and (sa, sb) pair.
 
     Each route, one engine at one point, builds its engine's input once and
-    evaluates it at every pair.  A grid worth more than starting a pool
-    runs its routes in forked workers, one per available CPU.  The records
+    evaluates it at every pair.  A grid worth more than forking runs its
+    routes in forked workers, one per available CPU.  The records
     are compared here, in grid order, and raise as the serial loop would:
     first point, then first pair.
     """

@@ -10,6 +10,7 @@ exact integers.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .states import validate_coherent_point, validate_fock_point
@@ -93,6 +94,11 @@ def fock_fermion_amplitude(n1: int, n2: int, n3: int, sa: complex, sb: complex) 
         return math.sqrt((n1 - n3) * n2) * abs(sa)
     if case == CASE_B_ONLY:
         return math.sqrt((n2 - n3) * n1) * abs(sb)
+    scale = max(abs(sa), abs(sb))
+    if scale and scale * scale < sys.float_info.min:
+        # The squares below would lose digits, or all of them, to underflow:
+        # evaluate at the amplitudes over the larger one and scale back.
+        return scale * fock_fermion_amplitude(n1, n2, n3, sa / scale, sb / scale)
     cross = 2.0 * (sa * sb.conjugate()).real
     squared = (n1 - n3) * n2 * abs(sa) ** 2 + (n2 - n3) * n1 * abs(sb) ** 2
     squared += 2.0 * (min(n1, n2) - n3) * cross

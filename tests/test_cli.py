@@ -3,10 +3,10 @@ import gc
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -271,6 +271,12 @@ def force_pool(monkeypatch, pooled):
     monkeypatch.setattr(cli, "POOL_MIN_PATHS", -1 if pooled else math.inf)
 
 
+def assert_no_child_left():
+    """Every forked worker has been reaped: this process has no child, running or exited."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def paths_flag(*args, **kwargs):
     return kwargs.get("paths", True)
 
@@ -337,7 +343,7 @@ def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv, p
         assert seen and not any(seen)
     # A pooled grid scatters only in workers; a serial one only here.
     assert {pid != os.getpid() for pid, _ in calls} == {pooled}
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 # One point whose two exact routes each walk 20,412 paths: enough for a
@@ -368,7 +374,7 @@ def test_a_pooled_grid_gives_the_serial_bytes(capsys, monkeypatch, tmp_path, arg
         code, out, err = run_cli(capsys, *argv)
         report = (tmp_path / "report.json").read_bytes() if argv[0] == "verify" else None
         results.append((code, out, err, report))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert results[0] == results[1]
     pids = [pid for pid, _ in logged_calls(tmp_path / "points.log")]
     assert os.getpid() in pids and set(pids) - {os.getpid()}  # it did run in workers
@@ -393,7 +399,7 @@ def test_a_costly_point_runs_its_exact_routes_in_two_workers(capsys, monkeypatch
         for name in ("apply_first_order", "apply_fwm_operator")
     )
     assert len({scatter, ladder, os.getpid()}) == 3
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_pooled_grid_leaves_buffered_output_to_this_process(tmp_path):
@@ -414,6 +420,80 @@ def test_a_pooled_grid_leaves_buffered_output_to_this_process(tmp_path):
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "pending ", "forked: True")
+
+
+def test_a_pooled_grid_runs_without_a_stdout(monkeypatch):
+    """A process started with its stdout closed has sys.stdout None; the grid still forks."""
+    force_pool(monkeypatch, True)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([*RUN_GRID, "--out", os.devnull]) == 0
+    assert_no_child_left()
+
+
+def test_a_route_that_raises_in_a_worker_is_raised_here_in_grid_order(capsys, monkeypatch, tmp_path):
+    """Every route but firstq raises; the first to do so in grid order is the one raised.
+
+    It raises late, so that a later route's failure in another worker is
+    written first.
+    """
+    wrapped = cli.route_values
+
+    def spy(point, engine, pairs):
+        if engine == "firstq":
+            return wrapped(point, engine, pairs)
+        with open(tmp_path / "raised.log", "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        if point.n2 == 1:
+            time.sleep(0.2)
+        raise LookupError(f"{engine} at {point.text()}")
+
+    monkeypatch.setattr(cli, "route_values", spy)
+    for pooled in (False, True):
+        force_pool(monkeypatch, pooled)
+        (tmp_path / "raised.log").unlink(missing_ok=True)
+        with pytest.raises(LookupError, match=r"^oracle at n1=2 n2=1 n3=1$"):
+            run_cli(capsys, *RUN_GRID)
+        raised_in = {int(pid) for pid in (tmp_path / "raised.log").read_text().split()}
+        assert (os.getpid() not in raised_in) == pooled
+        assert_no_child_left()
+
+
+def test_a_worker_that_exits_without_its_values_is_an_error_not_a_hang(capsys, monkeypatch):
+    force_pool(monkeypatch, True)
+    parent = os.getpid()
+    wrapped = cli.route_values
+
+    def spy(point, engine, pairs):
+        if os.getpid() != parent and engine == "oracle":
+            os._exit(3)
+        return wrapped(point, engine, pairs)
+
+    monkeypatch.setattr(cli, "route_values", spy)
+    with pytest.raises(RuntimeError, match=r"^a worker exited without the oracle values at n1=2 n2=1 n3=1$"):
+        main(list(RUN_GRID))
+    assert_no_child_left()
+
+
+def test_closing_the_routes_after_the_first_value_reaps_every_worker(monkeypatch):
+    force_pool(monkeypatch, True)
+    points = [cli.FockPoint(2, n2, 1, Statistics.BOSON) for n2 in (1, 2)]
+    routes = [(point, engine) for point in points for engine in cli.ALL_ENGINES]
+    pairs = ((1 + 0j, 1 + 0j),)
+    first = cli.route_values(*routes[0], pairs)
+    wrapped = cli.route_values
+
+    def spy(point, engine, pairs):
+        if (point, engine) != routes[0]:
+            time.sleep(60)  # still running when the generator is closed
+        return wrapped(point, engine, pairs)
+
+    monkeypatch.setattr(cli, "route_values", spy)
+    per_route = cli._map_routes(routes, pairs)
+    assert next(per_route) == first
+    start = time.monotonic()
+    per_route.close()
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert_no_child_left()
 
 
 def test_one_cpu_runs_the_grid_in_this_process(capsys, monkeypatch, tmp_path):
@@ -880,7 +960,7 @@ def test_a_pooled_grid_runs_each_route_once(capsys, monkeypatch, tmp_path, argv)
     assert sorted(route for _, route in pooled) == sorted(routes)
     assert {pid for pid, _ in serial} == {os.getpid()}
     assert os.getpid() not in {pid for pid, _ in pooled}
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_an_engine_named_twice_runs_once(capsys, monkeypatch, tmp_path):

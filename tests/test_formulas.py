@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mixbench.formulas import (
@@ -90,6 +90,42 @@ def test_fock_fermion_cross_branch_is_the_published_form():
 def test_fock_fermion_cross_radicand_clamps_to_zero():
     # (1,1,0) at (1,-1): published radicand 1 + 1 - 4 = -2, clamped
     assert fock_fermion_amplitude(1, 1, 0, 1, -1) == 0.0
+
+
+@pytest.mark.parametrize("n1,n2,n3", [(1, 1, 0), (3, 1, 0)])
+def test_fock_fermion_cross_branch_does_not_underflow(n1, n2, n3):
+    # The squares of 1e-200 and 3e-200 are below the smallest normal float.
+    tiny = fock_fermion_amplitude(n1, n2, n3, 1e-200, 3e-200)
+    assert tiny == pytest.approx(1e-200 * fock_fermion_amplitude(n1, n2, n3, 1, 3), rel=1e-14, abs=0)
+    assert tiny > 0.0
+
+
+# One point in each branch of the piecewise form.
+CASE_POINTS = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 2, 1), (2, 3, 1), (1, 1, 0)]
+AMPLITUDE_PARTS = st.integers(-1000, 1000).map(lambda k: k / 1000)
+
+
+@pytest.mark.parametrize("n1,n2,n3", CASE_POINTS)
+@given(
+    sa=st.builds(complex, AMPLITUDE_PARTS, AMPLITUDE_PARTS),
+    sb=st.builds(complex, AMPLITUDE_PARTS, AMPLITUDE_PARTS),
+    s=st.floats(1e-200, 1.0),
+)
+def test_fock_fermion_amplitude_scales_with_its_amplitudes(n1, n2, n3, sa, sb, s):
+    plain = fock_fermion_amplitude(n1, n2, n3, sa, sb)
+    # Near a root of the published radicand, rounding s*sa alone moves the
+    # value by more than 1e-14; keep away from one.  At (|sa|, |sb|) every
+    # term of the radicand is at its largest.
+    assume(plain >= fock_fermion_amplitude(n1, n2, n3, abs(sa), abs(sb)) / 2)
+    scaled = fock_fermion_amplitude(n1, n2, n3, s * sa, s * sb)
+    if fock_fermion_case(n1, n2, n3) == CASE_SUPPRESSED:
+        assert scaled == 0.0
+    assert math.isclose(scaled, s * plain, rel_tol=1e-14)
+
+
+def test_every_case_has_a_scaling_point():
+    cases = {fock_fermion_case(*point) for point in CASE_POINTS}
+    assert cases == {CASE_SUPPRESSED, CASE_A_ONLY, CASE_B_ONLY} | CROSS_CASES
 
 
 @pytest.mark.parametrize("bad", [(0, 1, 0), (1, 0, 0), (1, 1, -1)])

@@ -149,18 +149,25 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def test_neither_the_import_nor_a_one_point_run_loads_the_pool():
-    """The pool's modules are imported only for a grid that fans out."""
+    """No run imports a process pool's modules, not even a grid forked into workers."""
     snippet = (
-        "import os, sys\n"
+        "import os, resource, sys\n"
         "before = set(sys.modules)\n"
-        "import mixbench.cli\n"
+        "import mixbench.cli as cli\n"
         "imported = set(sys.modules) - before\n"
-        "code = mixbench.cli.main(['run', '--experiment', 'type1', '--statistics', 'boson',"
+        "code = cli.main(['run', '--experiment', 'type1', '--statistics', 'boson',"
         " '--n1', '3', '--n2', '3', '--n3', '2', '--out', os.devnull])\n"
         "ran = set(sys.modules) - before\n"
-        "print(code, mixbench.cli.__file__)\n"
+        "cli.POOL_MIN_PATHS = -1\n"
+        "code += cli.main(['run', '--experiment', 'type1', '--statistics', 'boson',"
+        " '--n1', '2', '--n2', '1:2', '--n3', '1', '--out', os.devnull])\n"
+        "pooled = set(sys.modules) - before\n"
+        "forkable = hasattr(os, 'fork') and cli._available_cpus() >= 2\n"
+        "forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0\n"
+        "print(code, forked == forkable, cli.__file__)\n"
         "print(' '.join(sorted(imported)))\n"
         "print(' '.join(sorted(ran)))\n"
+        "print(' '.join(sorted(pooled)))\n"
     )
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
@@ -168,12 +175,13 @@ def test_neither_the_import_nor_a_one_point_run_loads_the_pool():
     proc = subprocess.run(
         [sys.executable, "-c", snippet], capture_output=True, text=True, env=env, check=True
     )
-    status, imported, ran = proc.stdout.splitlines()
-    assert status == f"0 {src}{os.sep}mixbench{os.sep}cli.py"
-    pool = {"multiprocessing", "concurrent", "concurrent.futures"}
+    status, imported, ran, pooled = proc.stdout.splitlines()
+    assert status == f"0 True {src}{os.sep}mixbench{os.sep}cli.py"
+    pool = {"multiprocessing", "concurrent", "concurrent.futures", "logging"}
     assert "mixbench.cli" in imported.split()
     assert pool & set(imported.split()) == set()
     assert pool & set(ran.split()) == set()
+    assert pool & set(pooled.split()) == set()
 
 
 @pytest.mark.parametrize("module", ["states", "oracle"])
