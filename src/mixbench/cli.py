@@ -15,12 +15,13 @@ import marshal
 import math
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache, partial
 from itertools import product
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple, NoReturn, TextIO
 
 from collections import Counter
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Iterator
 
 # bench/tracing.py times the layers by replacing the functions imported below,
 # and json, by name on this module: call them through these globals, and
@@ -567,9 +568,9 @@ def _map_routes(
     values, or the exception that ends its share, to its own pipe.  This
     process runs no route: it reads each one from its child's pipe when it
     is next in grid order, so the first failure in grid order is the one
-    raised, as in the serial loop, and a child that exits without its
-    values raises RuntimeError.  Finishing, raising or closing the generator
-    kills and reaps every child.
+    raised, as in the serial loop, with the child's traceback as its cause;
+    a child that exits without its values raises RuntimeError.  Finishing,
+    raising or closing the generator kills and reaps every child.
     """
     workers = _available_cpus()
     scatters = any(engine in EXACT_ENGINES for _, engine in routes)
@@ -619,10 +620,8 @@ def _map_routes(
                 raise RuntimeError(
                     f"a worker exited without the {engine} values at {point.text()}"
                 ) from None
-            if isinstance(values, bytes):  # the exception the route raised
-                import pickle
-
-                raise pickle.loads(values)
+            if isinstance(values, tuple):  # the route raised
+                _raise_from_worker(*values, point, engine)
             yield values
     finally:
         for pid in pids:
@@ -630,6 +629,32 @@ def _map_routes(
             os.waitpid(pid, 0)
         for reader in readers:
             reader.close()
+
+
+class WorkerTraceback(Exception):
+    """The traceback of an exception raised in a forked worker, as its text."""
+
+
+def _raise_from_worker(pickled: bytes | None, trace: str, point: Point, engine: str) -> NoReturn:
+    """Raise here what a worker's route raised, its traceback chained as the cause.
+
+    An exception the worker could not pickle, or this process cannot
+    unpickle, is raised as a RuntimeError that names the route.
+    """
+    import pickle
+
+    exc = None
+    if pickled is not None:
+        try:
+            exc = pickle.loads(pickled)
+        except Exception:
+            pass
+    if exc is None:
+        exc = RuntimeError(
+            f"the {engine} route at {point.text()} raised in a worker"
+            " an exception that cannot be sent back"
+        )
+    raise exc from WorkerTraceback(trace)
 
 
 def _run_share(
@@ -640,8 +665,9 @@ def _run_share(
 ) -> NoReturn:
     """In a forked child: marshal each route's values to ``write``, in order, then exit.
 
-    A route that raises ends the share; its exception is sent pickled, as
-    bytes, and the routes after it are not run.
+    A route that raises ends the share, and the routes after it are not
+    run.  Its exception is sent as a tuple: the exception pickled, or None
+    when it cannot be, and the formatted traceback.
     """
     code = 1
     try:
@@ -651,8 +677,14 @@ def _run_share(
                     values = route_values(*routes[at], pairs)
                 except BaseException as exc:  # the parent raises it, in grid order
                     import pickle
+                    import traceback
 
-                    marshal.dump(pickle.dumps(exc), out)
+                    trace = traceback.format_exc()
+                    try:
+                        pickled = pickle.dumps(exc)
+                    except Exception:
+                        pickled = None
+                    marshal.dump((pickled, trace), out)
                     break
                 marshal.dump(values, out)
                 out.flush()
@@ -801,23 +833,31 @@ def render_path_table(paths: list[PathRecord]) -> str:
     return text_table(headers, rows)
 
 
-def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, complex]]) -> str:
-    """The listing as ``json.dumps(doc, indent=2) + "\\n"`` writes it, byte for byte.
+def render_paths_json(
+    payload: list[tuple[ProductTerm, list[PathRecord], str, complex]],
+    write: Callable[[str], object],
+) -> None:
+    """Write the listing as ``json.dumps(doc, indent=2) + "\\n"`` would, byte for byte.
 
-    ``doc`` holds one object per (destination, paths, total, value) entry.
-    The fixed schema is written from templates, because the indenting
-    encoder is pure Python; every string is quoted with ``json.dumps``, and
-    each distinct source term, amount and process is rendered and quoted
-    once per call.  Amounts equal under ``==`` share their text, which is
-    exact because ``format_complex`` prints a -0.0 part as it prints 0.0.
-    A contribution keeps its schema's constant slot ``"c0": "0"``, which
-    readers of the listing parse.
+    ``doc`` holds one object per (destination, paths, total, value) entry,
+    and each is handed to ``write`` as it is rendered, with the separator
+    before it: the document is never held whole.  The fixed schema is
+    written from templates, because the indenting encoder is pure Python;
+    every string is quoted with ``json.dumps``, and each distinct source
+    term, amount and process is rendered and quoted once per call.  Amounts
+    equal under ``==`` share their text, which is exact because
+    ``format_complex`` prints a -0.0 part as it prints 0.0.  A contribution
+    keeps its schema's constant slot ``"c0": "0"``, which readers of the
+    listing parse.
     """
+    if not payload:
+        write("[]\n")
+        return
     quote = json.dumps
     source_text = cache(lambda term: quote(render_term(term)))
     amount_text = cache(lambda value: quote(format_complex(value)))
     process_text = cache(quote)
-    entries = []
+    separator = "[\n"
     for dest, paths, total, value in payload:
         dest_text = quote(render_term(dest))  # also every path's destination
         records = []
@@ -839,17 +879,43 @@ def render_paths_json(payload: list[tuple[ProductTerm, list[PathRecord], str, co
                 "      }"
             )
         listed = "[\n" + ",\n".join(records) + "\n    ]" if records else "[]"
-        entries.append(
-            "  {\n"
+        write(
+            f"{separator}  {{\n"
             f'    "destination": {dest_text},\n'
             f'    "paths": {listed},\n'
             f'    "total": {quote(total)},\n'
             f'    "value": {quote(format_complex(value))}\n'
             "  }"
         )
-    if not entries:
-        return "[]\n"
-    return "[\n" + ",\n".join(entries) + "\n]\n"
+        separator = ",\n"
+    write("\n]\n")
+
+
+def render_paths_table(
+    payload: list[tuple[ProductTerm, list[PathRecord], str, complex]],
+    sa: complex,
+    sb: complex,
+    write: Callable[[str], object],
+) -> None:
+    """Write the listing as text, one destination's block at a time.
+
+    A block names its destination, tables its paths with
+    ``render_path_table`` and ends with their count and total at (sa, sb).
+    A listing of other than one destination separates its blocks with a
+    blank line and ends with a line that counts them and their paths.
+    """
+    at = f" at sa={format_complex(sa)}, sb={format_complex(sb)}"
+    gap = "" if len(payload) == 1 else "\n"
+    total_paths = 0
+    for dest, paths, rendered, value in payload:
+        table = render_path_table(paths) + "\n" if paths else ""
+        write(
+            f"destination: {render_term(dest)}\n{table}"
+            f"paths: {len(paths)}\ntotal: {rendered} = {format_complex(value)}{at}\n{gap}"
+        )
+        total_paths += len(paths)
+    if gap:
+        write(f"matched destinations: {len(payload)}, paths: {total_paths}\n")
 
 
 def render_records(records: list[VerificationRecord], fmt: str) -> str:
@@ -861,30 +927,39 @@ def render_records(records: list[VerificationRecord], fmt: str) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _open_output(out: str):
-    """Open an --out file for writing; a path that cannot be written is a usage error."""
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The stream a command writes to: stdout, or the --out file, which is closed after.
+
+    An --out path that cannot be written is a usage error.
+    """
+    if out is None:
+        yield sys.stdout
+        return
     try:
-        return open(out, "w", encoding="utf-8")
+        handle = open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
-
-
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _open_output(out) as handle:
-            handle.write(text)
+    with handle:
+        yield handle
 
 
 def _do_run(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     records = run_records(cfg)
-    _write_output(render_records(records, cfg.fmt), cfg.out)
+    with _output(cfg.out) as stream:
+        stream.write(render_records(records, cfg.fmt))
     return 1 if any(r.status == STATUS_FAIL for r in records) else 0
 
 
 def _do_paths(args: argparse.Namespace) -> int:
+    """List the paths into one destination, or each destination it matches.
+
+    Every destination's paths, ``(ca, cb)`` sum and value at (sa, sb) are
+    found, and a value that overflows refused, before stdout or --out is
+    opened: a refused listing writes nothing.  The listing is then written
+    one destination at a time, in either format.
+    """
     cfg = build_config(args)
     if cfg.fmt == "csv":
         raise UsageError("paths --format must be table or json")
@@ -905,25 +980,11 @@ def _do_paths(args: argparse.Namespace) -> int:
             raise _overflow_error(point, cfg.sa, cfg.sb)
         payload.append((dest, paths, format_form(ca, cb), value))
 
-    if cfg.fmt == "json":
-        _write_output(render_paths_json(payload), cfg.out)
-        return 0
-    lines = []
-    total_paths = 0
-    for dest, paths, rendered, value in payload:
-        lines.append(f"destination: {render_term(dest)}")
-        if paths:
-            lines.append(render_path_table(paths))
-        lines.append(f"paths: {len(paths)}")
-        lines.append(
-            f"total: {rendered} = {format_complex(value)}"
-            f" at sa={format_complex(cfg.sa)}, sb={format_complex(cfg.sb)}"
-        )
-        lines.append("")
-        total_paths += len(paths)
-    if len(payload) != 1:
-        lines.append(f"matched destinations: {len(payload)}, paths: {total_paths}")
-    _write_output("\n".join(lines).rstrip("\n") + "\n", cfg.out)
+    with _output(cfg.out) as stream:
+        if cfg.fmt == "json":
+            render_paths_json(payload, stream.write)
+        else:
+            render_paths_table(payload, cfg.sa, cfg.sb, stream.write)
     return 0
 
 
@@ -1052,7 +1113,7 @@ def _do_verify(args: argparse.Namespace) -> int:
 
     # Open the report first, so that a path that cannot be written is refused
     # before the grid is computed.
-    with _open_output(out) as handle:
+    with _output(out) as handle:
         records = verify_records(tolerance, nmax)
         counts = Counter(record.status for record in records)
         report = {
@@ -1066,7 +1127,8 @@ def _do_verify(args: argparse.Namespace) -> int:
             },
             "records": [record_to_json_dict(r) for r in records],
         }
-        handle.write(json.dumps(report, indent=2) + "\n")
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
     print(
         f"checked {len(records)} records: {counts[STATUS_PASS]} pass,"
         f" {counts[STATUS_KNOWN]} known-divergence, {counts[STATUS_FAIL]} fail"

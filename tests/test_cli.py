@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -472,6 +473,56 @@ def test_a_worker_that_exits_without_its_values_is_an_error_not_a_hang(capsys, m
     with pytest.raises(RuntimeError, match=r"^a worker exited without the oracle values at n1=2 n2=1 n3=1$"):
         main(list(RUN_GRID))
     assert_no_child_left()
+
+
+class TwoArgumentError(Exception):
+    """Pickle rebuilds it from its one joined argument, but it takes two."""
+
+    def __init__(self, route, detail):
+        super().__init__(f"{route}: {detail}")
+
+
+@pytest.mark.parametrize(
+    "make,sent_back",
+    [
+        pytest.param(ValueError, True, id="value-error"),
+        pytest.param(lambda text: TwoArgumentError(text, "rebuilt"), False, id="two-arguments"),
+        pytest.param(lambda text: LookupError(text, lambda: None), False, id="holds-a-lambda"),
+    ],
+)
+def test_a_worker_exception_is_raised_here_with_the_worker_traceback(monkeypatch, make, sent_back):
+    """What a worker's route raises comes back with its traceback as the cause.
+
+    An exception that cannot make the trip, because pickle cannot write it
+    or cannot rebuild it, becomes a RuntimeError that names the route.
+    """
+    force_pool(monkeypatch, True)
+    wrapped = cli.route_values
+
+    def spy(point, engine, pairs):
+        if engine == "oracle" and point.n2 == 1:
+            raise make(f"oracle at {point.text()}")
+        return wrapped(point, engine, pairs)
+
+    monkeypatch.setattr(cli, "route_values", spy)
+    with pytest.raises(Exception) as raised:
+        main(list(RUN_GRID))
+    assert_no_child_left()
+    if sent_back:
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "oracle at n1=2 n2=1 n3=1"
+    else:
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == (
+            "the oracle route at n1=2 n2=1 n3=1 raised in a worker"
+            " an exception that cannot be sent back"
+        )
+    cause = raised.value.__cause__
+    assert isinstance(cause, cli.WorkerTraceback)
+    trace = str(cause)
+    assert trace.startswith("Traceback (most recent call last):\n")
+    assert ", in spy\n" in trace and "raise make(" in trace
+    assert "oracle at n1=2 n2=1 n3=1" in trace.splitlines()[-1]
 
 
 def test_closing_the_routes_after_the_first_value_reaps_every_worker(monkeypatch):
@@ -1279,4 +1330,86 @@ def test_paths_json_is_json_dumps_of_the_reference(capsys, state, flags, destina
 
 
 def test_paths_json_writes_an_empty_listing_as_json_dumps_does():
-    assert cli.render_paths_json([]) == json.dumps([], indent=2) + "\n"
+    written = []
+    cli.render_paths_json([], written.append)
+    assert written == [json.dumps([], indent=2) + "\n"] == ["[]\n"]
+
+
+# The benchmark's paths_provenance listing: 1,680 destinations, 10,080 paths.
+PATHS_PROVENANCE = ("paths", "--experiment", "type2", "--statistics", "fermion", "--n", "8",
+                    "--epsilon", "0.2", "--sa=0.3-0.1i", "--sb=-0.7+0.2i",
+                    "phi phi psi psi v v v u")
+
+
+class SpyStdout:
+    """A stdout that keeps the length of each write, and its text when asked to."""
+
+    def __init__(self, keep=False):
+        self.sizes = []
+        self.texts = [] if keep else None
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        if self.texts is not None:
+            self.texts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_paths_writes_its_listing_one_destination_at_a_time(capsys, monkeypatch, fmt):
+    code, whole, _ = run_cli(capsys, *PATHS_PROVENANCE, "--format", fmt)
+    assert code == 0
+    spy = SpyStdout(keep=True)
+    monkeypatch.setattr(sys, "stdout", spy)
+    assert main([*PATHS_PROVENANCE, "--format", fmt]) == 0
+    assert "".join(spy.texts) == whole
+    assert len(spy.sizes) >= 1680  # at least one write per destination
+    assert max(spy.sizes) <= 64 * 1024
+
+
+def test_the_json_listing_peaks_below_the_document_it_writes(monkeypatch):
+    """The listing is never held whole: its peak is the scatter's records, not the text."""
+    monkeypatch.setattr(sys, "stdout", SpyStdout())
+    argv = [*PATHS_PROVENANCE, "--format", "json"]
+    assert main(argv) == 0  # fills this process's caches, which later listings share
+    spy = SpyStdout()
+    monkeypatch.setattr(sys, "stdout", spy)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(spy.sizes) > 4_000_000
+    assert peak < sum(spy.sizes)
+
+
+# A type2 fermion sector point whose unlabelled destination matches several terms.
+SECTOR_5 = ("paths", "--experiment", "type2", "--statistics", "fermion", "--n", "5",
+            "--epsilon", "0.2", "--sa=0.3-0.1i", "--sb=-0.7+0.2i", "phi psi v v u")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_paths_out_writes_the_bytes_of_stdout(capsys, tmp_path, fmt):
+    code, out, err = run_cli(capsys, *SECTOR_5, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.count("destination") > 2
+    target = tmp_path / "listing"
+    assert run_cli(capsys, *SECTOR_5, "--format", fmt, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_an_overflowing_paths_out_creates_no_file(capsys, tmp_path, fmt):
+    target = tmp_path / "listing"
+    code, out, err = run_cli(
+        capsys, "paths", "--experiment", "type1", "--statistics", "fermion",
+        "--n1", "1", "--n2", "1", "--n3", "0", "--sa=1e308", "--sb=-1e308", "v(1) u(1)",
+        "--format", fmt, "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --sa/--sb too large: ")
+    assert list(tmp_path.iterdir()) == []
