@@ -536,7 +536,8 @@ def point_record(
 
 
 # What forking a grid's workers costs, in paths the serial loop would
-# scatter in the same time (about 1 us a path over verify --nmax 8).  On two
+# scatter in the same time (about 0.8 us a path: verify --nmax 8's serial
+# route time, 0.46-0.48 s, over its 606,372 predicted paths).  On two
 # shared CPUs a forked grid of two equal boson type1 points ends 5-9 ms after
 # one of them alone would: (3,3,2) twice took 10-14 ms against 5-6 ms a
 # point, and (3,3,3) twice 22-25 ms against 15-16 ms (medians of 31 calls).

@@ -7,13 +7,18 @@ every stored term, enumerates one path per (term, phi slot, psi slot,
 process), and sums the paths' signed values per destination term in the
 same single loop, so its work grows with the number of paths.
 
-Inside the loop a slot is the int ``mode * width + q`` (q = 0 for bosons),
-with ``width`` one more than the largest q of the state.  A bosonic term is
-one int, its slot codes packed in base ``4 * width`` with slot 0 as the
-most significant digit, so numeric order is canonical term order; a path
-adds a fixed lift per slot to it and builds no key tuple.  A fermionic term
-is an int bitmask: code c is bit ``4 * width - 1 - c``, so the lowest code
-is the highest bit and descending masks are ascending Slater keys.  A path
+Inside the loop every term is one int.  Bosonic slots carry no q label,
+so a bosonic term is its modes packed in base 4 (width 1), slot 0 as the
+most significant digit, and numeric order is canonical term order.  Each
+distinct slot is mapped once to its ASCII digit ``48 + mode``; a term's
+digits read with ``int(digits, 4)`` are its key, and the 0/1 patterns of
+its phi and psi positions, taken with ``bytes.translate``, look up the
+(slot, lift in A, lift in B) lists that one call builds the first time a
+pattern appears.  A path adds one lift per moved slot to the key and
+builds no key tuple.  A fermionic slot is the int ``mode * width + q``,
+with ``width`` one more than the largest q of the state, and a fermionic
+term is an int bitmask: code c is bit ``4 * width - 1 - c``, so the lowest
+code is the highest bit and descending masks are ascending Slater keys.  A path
 clears the phi and psi bits and sets the new v and u bits, which is one
 fixed lift per slot again.  Its sign is the first-quantized one: the parity
 of the kept slots strictly between each old code and its new code, plus
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 from cmath import isfinite
 from functools import cache, cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -129,7 +135,7 @@ class ScatterResult:
 
     ``sums`` is the result's one output: a ``[ca, cb, key]`` list per final
     term, in canonical term order, a term whose ca and cb are both exact
-    zeros left out.  A key is an int: the packed codes of a bosonic term,
+    zeros left out.  A key is an int: the packed modes of a bosonic term,
     listed ascending, or the bitmask of a fermionic one, listed descending.
     Every view reads ``sums``: ``coefficients`` lists its ``(ca, cb)``
     pairs, and ``final_state`` and ``paths`` decode each key to its term
@@ -232,9 +238,14 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     nothing) when the destination single-particle state is already occupied
     in the source term.  Bosonic paths are never blocked.  Each
     destination's ca and cb are summed in path order; the result's ``sums``
-    list the destinations in canonical term order, exact zeros pruned.  A
-    fermionic key that is not canonical, or whose q labels are not ints
-    >= 1, raises ``ValueError``.
+    list the destinations in canonical term order, exact zeros pruned.  An
+    empty bosonic term or a bosonic slot with a q label, or a fermionic key
+    that is not canonical or whose q labels are not ints >= 1, raises
+    ``ValueError``.
+
+    A bosonic term is decoded from its mode bytes: its digits ``48 + mode``
+    read in base 4 give its key, and its phi and psi position patterns
+    pick lift lists that live only as long as this call.
 
     ``paths=False`` keeps no per-path record; the sums are the same, bit for
     bit.  Reading ``.paths`` on such a result then re-runs this scatter once
@@ -242,35 +253,45 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
     """
     if state.statistics is Statistics.FERMION:
         return _scatter_fermions(state, paths)
+    # An empty term has no digits to read in base 4.
+    if () in state.terms:
+        raise ValueError("product term needs at least one slot")
     slots = {slot for term in state.terms for slot in term}
-    width = 1 + max((slot.q or 0 for slot in slots), default=0)
-    to_v, to_u = 2 * width, 3 * width  # codes of v(0) and u(0)
-    # Process A takes phi (code q) to v(q) and psi (code width + q) to u(q),
-    # adding to_v to each code; process B adds to_u to phi's code (u) and
-    # width to psi's (v).  A packed bosonic key holds slot k's code times
-    # weights[k], so a move adds the code's lift times that weight.
-    base = 4 * width
-    weights = [base ** (state.n - 1 - k) for k in range(state.n)]
-    lift_v = [to_v * weight for weight in weights]
-    lift_u = [to_u * weight for weight in weights]
-    lift_psi = [width * weight for weight in weights]
+    if any(slot.q is not None for slot in slots):
+        raise ValueError("bosonic slots carry no q label")
+    # Process A adds 2 to the phi digit (v) and to the psi digit (u); process
+    # B adds 3 to phi's (u) and 1 to psi's (v), each times the slot's weight.
+    digit = {slot: 48 + slot.mode for slot in slots}.__getitem__
+    weights = [4 ** (state.n - 1 - k) for k in range(state.n)]
+    phi_lifts = [(k, 2 * weight, 3 * weight) for k, weight in enumerate(weights)]
+    psi_lifts = [(k, 2 * weight, weight) for k, weight in enumerate(weights)]
+    # A term's phi (psi) positions as a 0/1 byte pattern, and per pattern
+    # seen in this call its (slot, lift in A, lift in B) list.
+    phi_pattern = bytes.maketrans(b"0123", bytes((1, 0, 0, 0)))
+    psi_pattern = bytes.maketrans(b"0123", bytes((0, 1, 0, 0)))
+    phis_of: dict[bytes, list] = {}
+    psis_of: dict[bytes, list] = {}
     records: list[tuple] | None = [] if paths else None
     sums: dict = {}  # destination key -> [ca, cb, key], summed in path order
     get = sums.get
     for index, (term, coeff) in enumerate(state.terms.items()):
-        codes = [mode * width + (q or 0) for mode, q in term]
-        phis = [i for i, code in enumerate(codes) if code < width]
-        psis = [j for j, code in enumerate(codes) if width <= code < to_v]
+        digits = bytes(map(digit, term))
+        packed = int(digits, 4)
+        pattern = digits.translate(phi_pattern)
+        phis = phis_of.get(pattern)
+        if phis is None:
+            phis = phis_of[pattern] = list(compress(phi_lifts, pattern))
+        pattern = digits.translate(psi_pattern)
+        psis = psis_of.get(pattern)
+        if psis is None:
+            psis = psis_of[pattern] = list(compress(psi_lifts, pattern))
         # Bosonic values are 1 * coeff; the product is kept for its signed zeros.
         plus = 1 * coeff
-        packed = 0
-        for code in codes:
-            packed = packed * base + code
         # Both processes of one slot pair, written out: no tuple per path.
-        for i in phis:
-            start_a, start_b = packed + lift_v[i], packed + lift_u[i]
-            for j in psis:
-                dest = start_a + lift_v[j]
+        for i, phi_a, phi_b in phis:
+            start_a, start_b = packed + phi_a, packed + phi_b
+            for j, psi_a, psi_b in psis:
+                dest = start_a + psi_a
                 total = get(dest)
                 if total is None:
                     total = sums[dest] = [plus, 0j, dest]
@@ -278,7 +299,7 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
                     total[0] += plus
                 if paths:
                     records.append((index, 0, i, j, 1, plus, total))
-                dest = start_b + lift_psi[j]
+                dest = start_b + psi_b
                 total = get(dest)
                 if total is None:
                     total = sums[dest] = [0j, plus, dest]
@@ -286,7 +307,7 @@ def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterRes
                     total[1] += plus
                 if paths:
                     records.append((index, 1, i, j, 1, plus, total))
-    return ScatterResult(state, records, sums, width)
+    return ScatterResult(state, records, sums, 1)
 
 
 def _scatter_fermions(state: ManyBodyState, paths: bool) -> ScatterResult:

@@ -705,6 +705,71 @@ def test_packed_boson_keys_match_naive(state):
     assert forms_by_repr(final.terms) == forms_by_repr(naive_path_order_sums(state))
 
 
+# Coefficients whose parts are signed zeros, or that cancel exactly in pairs.
+EXACT_VALUES = [
+    0.5 + 0j, -0.5 + 0j, complex(-0.0, 0.5), complex(-0.0, -0.5),
+    complex(0.25, -0.0), complex(-0.25, -0.0),
+]
+
+
+@st.composite
+def pattern_sharing_boson_states(draw):
+    """Boson states whose many terms share a few phi/psi layouts, with v/u filling the rest.
+
+    Terms of one layout have the same phi and psi positions and differ in
+    their v and u slots and their coefficients.
+    """
+    n = draw(st.integers(1, 7))
+    layout = st.lists(st.sampled_from([PHI, PSI, None]), min_size=n, max_size=n)
+    layouts = draw(st.lists(layout, min_size=1, max_size=3))
+    fill = st.lists(st.sampled_from([V, U]), min_size=n, max_size=n)
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(layouts), fill).map(
+                lambda pair: b(*(mode if mode is not None else v_or_u for mode, v_or_u in zip(*pair)))
+            ),
+            min_size=1,
+            max_size=24,
+            unique=True,
+        )
+    )
+    value = st.one_of(
+        st.sampled_from(EXACT_VALUES),
+        st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+    )
+    values = draw(st.lists(value, min_size=len(keys), max_size=len(keys)))
+    return ManyBodyState(Statistics.BOSON, n, {key: complex(c) for key, c in zip(keys, values)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern_sharing_boson_states())
+def test_boson_terms_sharing_a_layout_match_naive(state):
+    # Later terms of a layout reuse the lift lists its first term built.
+    expected = naive_path_order_sums(state)
+    recordless = apply_first_order(state, paths=False)
+    # repr tells signed zeros apart, which == does not
+    assert repr([(recordless._term_of(key), ca, cb) for ca, cb, key in recordless.sums]) == repr(
+        [(term, form.ca, form.cb) for term, form in expected.items()]
+    )
+    recorded = apply_first_order(state, paths=True)
+    assert repr([tuple(path) for path in recorded.paths]) == repr(naive_scatter(state))
+
+
+@pytest.mark.parametrize("paths", [True, False])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ((SingleParticleState(PHI, 1), SingleParticleState(PSI)), "bosonic slots carry no q label"),
+        ((), "product term needs at least one slot"),
+    ],
+)
+def test_rejects_a_boson_term_that_validate_term_refuses(bad, message, paths):
+    one = 1 + 0j
+    for terms in ({bad: one}, {b(PHI, PSI): one, bad: one}):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            apply_first_order(ManyBodyState(Statistics.BOSON, 2, terms), paths=paths)
+
+
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 @pytest.mark.parametrize("build", TEST_STATES)
 def test_coefficients_are_the_final_forms_ca_cb(statistics, build):

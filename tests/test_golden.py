@@ -31,8 +31,24 @@ CASES = [
         ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "1:3", "--n2", "1:3",
          "--n3", "0:2", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
     ),
-    # Benchmark-scale boson points: 12,600 packed destinations at (4,3,3), and the
+    # Benchmark-scale boson points: the four type1 points at n = 10, from
+    # seed-heavy (2,2,6) to 12,600 packed destinations at (4,3,3), and the
     # 3^8-term type2 expansion.
+    (
+        "type1_run_boson_226.csv",
+        ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "2",
+         "--n3", "6", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
+    ),
+    (
+        "type1_run_boson_235.csv",
+        ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "2", "--n2", "3",
+         "--n3", "5", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
+    ),
+    (
+        "type1_run_boson_334.csv",
+        ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "3", "--n2", "3",
+         "--n3", "4", "--sa=0.3+0.1i", "--sb=-0.7+0.2i", "--format", "csv"],
+    ),
     (
         "type1_run_boson_433.csv",
         ["run", "--experiment", "type1", "--statistics", "boson", "--n1", "4", "--n2", "3",
