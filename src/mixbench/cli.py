@@ -28,11 +28,11 @@ from collections.abc import Callable, Generator, Iterator
 # build no import-time table of them.
 from .amplitudes import approx_eq, format_complex, format_form, parse_complex
 from .engine import (
-    PROCESS_A,
-    PathRecord,
+    PROCESSES,
+    PathGroup,
     apply_first_order,
     check_destination,
-    path_report,
+    group_paths,
     source_sector,
 )
 from .formulas import (
@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .states import (
     ManyBodyState,
-    ProductTerm,
     SectorSpec,
     Statistics,
     coefficient_norm,
@@ -813,79 +812,66 @@ def records_to_table(records: list[VerificationRecord]) -> str:
     return text_table(headers, rows) + "\n"
 
 
-def contribution(path: PathRecord) -> tuple[complex, complex]:
-    """A path's ``(ca, cb)`` contribution: its value in process A's ca or process B's cb."""
-    return (path.value, 0j) if path.process == PROCESS_A else (0j, path.value)
-
-
-def render_path_table(paths: list[PathRecord]) -> str:
-    headers = ["source", "process", "slots", "sign", "contribution", "destination"]
-    rows = [
-        [
-            render_term(p.source_term),
-            p.process,
-            f"{p.phi_slot},{p.psi_slot}",
-            f"{p.sign:+d}",
-            format_form(*contribution(p)),
-            render_term(p.destination_term),
-        ]
-        for p in paths
-    ]
-    return text_table(headers, rows)
-
-
 def render_paths_json(
-    payload: list[tuple[ProductTerm, list[PathRecord], str, complex]],
+    payload: list[tuple[PathGroup, str, complex]],
+    source_text: Callable[[int], str],
     write: Callable[[str], object],
 ) -> None:
     """Write the listing as ``json.dumps(doc, indent=2) + "\\n"`` would, byte for byte.
 
-    ``doc`` holds one object per (destination, paths, total, value) entry,
+    ``payload`` holds one (group, total, value) entry per matched
+    destination: its ``PathGroup``, its ``(ca, cb)`` sum as ``format_form``
+    text and its value at (sa, sb).  ``doc`` holds one object per entry,
     and each is handed to ``write`` as it is rendered, with the separator
     before it: the document is never held whole.  The fixed schema is
     written from templates, because the indenting encoder is pure Python;
-    every string is quoted with ``json.dumps``, and each distinct source
-    term, amount and process is rendered and quoted once per call.  Amounts
-    equal under ``==`` share their text, which is exact because
-    ``format_complex`` prints a -0.0 part as it prints 0.0.  A contribution
-    keeps its schema's constant slot ``"c0": "0"``, which readers of the
-    listing parse.
+    every string is quoted with ``json.dumps``.  A path object is joined
+    from three cached pieces: its source's, once per source index; its
+    process, slots, sign and contribution's, once per distinct (component,
+    slots, sign, value); and its destination's, once per entry.  A
+    contribution is the path's value in process A's ``"ca"`` or process
+    B's ``"cb"`` and ``"0"`` in the other, and keeps its schema's constant
+    slot ``"c0": "0"``, which readers of the listing parse.  Values equal
+    under ``==`` share their text, which is exact because
+    ``format_complex`` prints a -0.0 part as it prints 0.0.
     """
     if not payload:
         write("[]\n")
         return
     quote = json.dumps
-    source_text = cache(lambda term: quote(render_term(term)))
-    amount_text = cache(lambda value: quote(format_complex(value)))
-    process_text = cache(quote)
+    value_json = cache(lambda value: quote(format_complex(value)))
+    head = cache(lambda index: f'      {{\n        "source": {quote(source_text(index))},\n')
+
+    @cache
+    def fields(component: int, i: int, j: int, sign: int, value: complex) -> str:
+        ca, cb = (value_json(value), '"0"') if component == 0 else ('"0"', value_json(value))
+        return (
+            f'        "process": {quote(PROCESSES[component])},\n'
+            f'        "phi_slot": {i},\n'
+            f'        "psi_slot": {j},\n'
+            f'        "sign": {sign},\n'
+            '        "contribution": {\n'
+            '          "c0": "0",\n'
+            f'          "ca": {ca},\n'
+            f'          "cb": {cb}\n'
+            "        },\n"
+        )
+
     separator = "[\n"
-    for dest, paths, total, value in payload:
-        dest_text = quote(render_term(dest))  # also every path's destination
-        records = []
-        for p in paths:
-            ca, cb = contribution(p)
-            records.append(
-                "      {\n"
-                f'        "source": {source_text(p.source_term)},\n'
-                f'        "process": {process_text(p.process)},\n'
-                f'        "phi_slot": {p.phi_slot},\n'
-                f'        "psi_slot": {p.psi_slot},\n'
-                f'        "sign": {p.sign},\n'
-                '        "contribution": {\n'
-                '          "c0": "0",\n'
-                f'          "ca": {amount_text(ca)},\n'
-                f'          "cb": {amount_text(cb)}\n'
-                "        },\n"
-                f'        "destination": {dest_text}\n'
-                "      }"
-            )
-        listed = "[\n" + ",\n".join(records) + "\n    ]" if records else "[]"
+    for (dest, records, _), rendered, value in payload:
+        dest_text = quote(render_term(dest))
+        tail = f'        "destination": {dest_text}\n      }}'
+        listed = [
+            f"{head(index)}{fields(component, i, j, sign, path_value)}{tail}"
+            for index, component, i, j, sign, path_value, _ in records
+        ]
+        paths = "[\n" + ",\n".join(listed) + "\n    ]" if listed else "[]"
         write(
             f"{separator}  {{\n"
             f'    "destination": {dest_text},\n'
-            f'    "paths": {listed},\n'
-            f'    "total": {quote(total)},\n'
-            f'    "value": {quote(format_complex(value))}\n'
+            f'    "paths": {paths},\n'
+            f'    "total": {quote(rendered)},\n'
+            f'    "value": {value_json(value)}\n'
             "  }"
         )
         separator = ",\n"
@@ -893,28 +879,53 @@ def render_paths_json(
 
 
 def render_paths_table(
-    payload: list[tuple[ProductTerm, list[PathRecord], str, complex]],
+    payload: list[tuple[PathGroup, str, complex]],
+    source_text: Callable[[int], str],
     sa: complex,
     sb: complex,
     write: Callable[[str], object],
 ) -> None:
     """Write the listing as text, one destination's block at a time.
 
-    A block names its destination, tables its paths with
-    ``render_path_table`` and ends with their count and total at (sa, sb).
-    A listing of other than one destination separates its blocks with a
-    blank line and ends with a line that counts them and their paths.
+    A block names its destination, tables its paths (source, process,
+    slots, sign, contribution as a form, destination) and ends with their
+    count and total at (sa, sb).  A listing of other than one destination
+    separates its blocks with a blank line and ends with a line that
+    counts them and their paths.  A contribution is formatted once per
+    distinct (process, value), and a value at (sa, sb) once per distinct
+    value.
     """
     at = f" at sa={format_complex(sa)}, sb={format_complex(sb)}"
     gap = "" if len(payload) == 1 else "\n"
+    value_text = cache(format_complex)
+
+    @cache
+    def contribution(component: int, value: complex) -> str:
+        return format_form(value, 0j) if component == 0 else format_form(0j, value)
+
+    headers = ["source", "process", "slots", "sign", "contribution", "destination"]
     total_paths = 0
-    for dest, paths, rendered, value in payload:
-        table = render_path_table(paths) + "\n" if paths else ""
+    for (dest, records, _), rendered, value in payload:
+        dest_text = render_term(dest)
+        table = ""
+        if records:
+            rows = [
+                [
+                    source_text(index),
+                    PROCESSES[component],
+                    f"{i},{j}",
+                    f"{sign:+d}",
+                    contribution(component, path_value),
+                    dest_text,
+                ]
+                for index, component, i, j, sign, path_value, _ in records
+            ]
+            table = text_table(headers, rows) + "\n"
         write(
-            f"destination: {render_term(dest)}\n{table}"
-            f"paths: {len(paths)}\ntotal: {rendered} = {format_complex(value)}{at}\n{gap}"
+            f"destination: {dest_text}\n{table}"
+            f"paths: {len(records)}\ntotal: {rendered} = {value_text(value)}{at}\n{gap}"
         )
-        total_paths += len(paths)
+        total_paths += len(records)
     if gap:
         write(f"matched destinations: {len(payload)}, paths: {total_paths}\n")
 
@@ -974,18 +985,21 @@ def _do_paths(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     result = apply_first_order(point.sector_state(source_sector(destination)))
+    listing = group_paths(result, destination)
+    total_text = cache(format_form)  # a sector's totals hold few distinct (ca, cb) pairs
     payload = []
-    for dest, (paths, (ca, cb)) in path_report(result, destination).items():
+    for group in listing.groups:
+        ca, cb = group.total
         value = ca * cfg.sa + cb * cfg.sb
         if not cmath.isfinite(value):
             raise _overflow_error(point, cfg.sa, cfg.sb)
-        payload.append((dest, paths, format_form(ca, cb), value))
+        payload.append((group, total_text(ca, cb), value))
 
     with _output(cfg.out) as stream:
         if cfg.fmt == "json":
-            render_paths_json(payload, stream.write)
+            render_paths_json(payload, listing.source_text, stream.write)
         else:
-            render_paths_table(payload, cfg.sa, cfg.sb, stream.write)
+            render_paths_table(payload, listing.source_text, cfg.sa, cfg.sb, stream.write)
     return 0
 
 

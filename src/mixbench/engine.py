@@ -37,8 +37,8 @@ validated ``AmplitudeForm`` per final term when it is first read.
 Scattering a scattered state fails with ``TypeError``: a path multiplies
 its source coefficient by its sign, and a form is no number.  With
 ``paths=True`` (the default) a path is kept as a plain tuple of ints, its
-value and its destination's sum; its ``PathRecord`` is built when
-``ScatterResult.paths`` is first read.  With ``paths=False`` the loop
+value and its destination's sum; ``ScatterResult.paths`` builds the
+``PathRecord``s from these when it is first read.  With ``paths=False`` the loop
 keeps no record at all, for callers such as ``run`` and ``verify`` that
 need only the coefficients.  ``oracle`` also codes fermions as bitmasks,
 but ranks and signs them with its own ladder-operator loop; the two
@@ -46,9 +46,14 @@ routes share no scattering code, so each checks the other.
 
 The scattered norm is ``coefficient_norm(result.coefficients, sa, sb)``,
 which builds no final state.
-``path_report`` owns a ``paths`` listing: it checks and canonicalizes the
-destination, widens an unlabelled fermion destination to its sector, sorts
-the paths and hands back each matched destination's sum.  ``source_sector`` is
+``group_paths`` is the one step from the compact records to a ``paths``
+listing: it checks the destination, and encodes a bosonic or a
+canonicalized labelled fermion destination to its key and takes only that
+key's records, or groups every record by its sum's key and keeps the
+reached keys of an unlabelled fermion destination's sector.  It sorts each
+destination's records by rendered source and hands back its sum, before
+any ``PathRecord`` exists.  The CLI renders these groups, and
+``path_report`` is their ``PathRecord`` view.  ``source_sector`` is
 the one sector whose terms have paths into a destination's sector: every
 path moves one phi and one psi particle to v and u, so a path out of sector
 (phi, psi, v, u) lands in (phi - 1, psi - 1, v + 1, u + 1) and no other
@@ -82,11 +87,15 @@ from .states import (
 __all__ = [
     "PROCESS_A",
     "PROCESS_B",
+    "PROCESSES",
+    "PathGroup",
+    "PathListing",
     "PathRecord",
     "ScatterResult",
     "ScatteredState",
     "apply_first_order",
     "check_destination",
+    "group_paths",
     "path_report",
     "source_sector",
 ]
@@ -94,7 +103,7 @@ __all__ = [
 PROCESS_A = "A"
 PROCESS_B = "B"
 # Process by component: where it puts its value, 0 for ca, 1 for cb.
-_PROCESSES = (PROCESS_A, PROCESS_B)
+PROCESSES = (PROCESS_A, PROCESS_B)
 
 
 class PathRecord(NamedTuple):
@@ -105,8 +114,8 @@ class PathRecord(NamedTuple):
     destination term is brought back to canonical slot order.  ``value`` is
     sign * (source coefficient), which adds to the destination's ca in
     process A and to its cb in process B.  Records are built from the
-    engine's compact per-path tuples on the first read of
-    ``ScatterResult.paths``.
+    engine's compact per-path tuples: every path's on the first read of
+    ``ScatterResult.paths``, and a listing's by ``path_report``.
     """
 
     source_term: ProductTerm
@@ -116,6 +125,33 @@ class PathRecord(NamedTuple):
     sign: int
     value: complex
     destination_term: ProductTerm
+
+
+class PathGroup(NamedTuple):
+    """One destination of a ``paths`` listing: its term, its paths and their sum.
+
+    ``records`` are the scatter's compact records ``(source index,
+    component, phi slot, psi slot, sign, value, sum)`` of the paths into
+    ``destination``, sorted by rendered source term.  Component 0 is
+    process A, whose value adds to ca, and 1 is process B's, which adds to
+    cb.  ``total`` is the destination's ``(ca, cb)`` entry of
+    ``ScatterResult.sums``, or ``(0j, 0j)`` when it has none.
+    """
+
+    destination: ProductTerm
+    records: list[tuple]
+    total: tuple[complex, complex]
+
+
+class PathListing(NamedTuple):
+    """The destinations a ``paths`` query matches, in listing order, and their sources' text.
+
+    ``source_text(index)`` is ``render_term`` of the result's source term
+    at that index, rendered once per listing.
+    """
+
+    groups: list[PathGroup]
+    source_text: Callable[[int], str]
 
 
 class ScatteredState(NamedTuple):
@@ -142,11 +178,13 @@ class ScatterResult:
     once, through one cached decoder.
 
     A result built with records holds each path as a compact tuple
-    ``(source index, component, phi slot, psi slot, sign, value, sum)``;
-    ``paths`` turns them into ``PathRecord``s in path order on its first
-    read and caches the tuple.  A result built with ``paths=False`` holds no
-    records: its first read of ``paths`` re-runs the scatter on the source
-    state with records, once, and caches that tuple instead.
+    ``(source index, component, phi slot, psi slot, sign, value, sum)``,
+    which ``group_paths`` reads.  ``paths`` builds a ``PathRecord`` per
+    record, in path order, on its first read and caches the tuple; the
+    records stay, so a listing reads the same records whether or not
+    ``paths`` was read first.  A result built with ``paths=False`` holds no
+    records: its first read of ``paths``, or its first listing, re-runs the
+    scatter on the source state with records, once, and keeps those.
     """
 
     def __init__(
@@ -186,20 +224,19 @@ class ScatterResult:
 
     @cached_property
     def paths(self) -> tuple[PathRecord, ...]:
-        records = self._records
-        if records is None:
-            return apply_first_order(self._source).paths
         term_of = self._term_of
         sources = tuple(self._source.terms)
-        built: list = [None] * len(records)
-        # Pop each compact record as its PathRecord is made, so the two
-        # lists never both hold every path.
-        for at in range(len(records) - 1, -1, -1):
-            index, component, i, j, sign, value, total = records.pop()
-            built[at] = PathRecord(
-                sources[index], _PROCESSES[component], i, j, sign, value, term_of(total[2])
-            )
-        return tuple(built)
+        return tuple(
+            PathRecord(sources[index], PROCESSES[component], i, j, sign, value, term_of(total[2]))
+            for index, component, i, j, sign, value, total in self._path_records
+        )
+
+    @cached_property
+    def _path_records(self) -> list[tuple]:
+        """The compact records: this scatter's, or one replay's for a result built without."""
+        if self._records is None:
+            return apply_first_order(self._source)._records
+        return self._records
 
     @cached_property
     def _term_of(self) -> Callable[[int], ProductTerm]:
@@ -228,6 +265,22 @@ class ScatterResult:
             return tuple(term)
 
         return term_of
+
+    def _key_of(self, term: ProductTerm) -> int | None:
+        """The key of a canonical term, the inverse of ``_term_of``.
+
+        A fermion term with a q label of ``width`` or more has no key:
+        no path of this result reaches it.
+        """
+        if self._source.statistics is not Statistics.FERMION:
+            return int(bytes(48 + slot.mode for slot in term), 4)
+        width = self._width
+        top, key = 4 * width - 1, 0
+        for mode, q in term:
+            if q >= width:
+                return None
+            key |= 1 << (top - mode * width - q)
+        return key
 
 
 def apply_first_order(state: ManyBodyState, *, paths: bool = True) -> ScatterResult:
@@ -441,43 +494,79 @@ def check_destination(destination: ProductTerm, statistics: Statistics, n: int) 
         raise ValueError("fermion destination must label every slot with q, or none")
 
 
+def group_paths(result: ScatterResult, destination: ProductTerm) -> PathListing:
+    """Group the result's compact path records by the destinations a query matches.
+
+    A destination that ``check_destination`` rejects raises ``ValueError``.
+    A bosonic destination, or a labelled fermion one once canonicalized, is
+    encoded to its key, and only that key's records are taken: no other key
+    is decoded.  A fermion destination with no q labels groups every record
+    by its sum's key, decodes each reached key once, keeps the keys in the
+    destination's sector and orders them by rendered term; when none is
+    reached, as when every path is Pauli blocked, it matches itself with no
+    paths.  Each group's records are sorted by their source term's
+    rendering; the stable sort keeps the scatter's order within one source,
+    which is process A before B, as only the two paths of one slot pair can
+    share a source and a destination.  The groups read the same records
+    whether or not ``result.paths`` has been read.
+    """
+    statistics = result._source.statistics
+    check_destination(destination, statistics, result._source.n)
+    records = result._path_records
+    sources = tuple(result._source.terms)
+    source_text = cache(lambda index: render_term(sources[index]))
+    if statistics is Statistics.FERMION and all(slot.q is None for slot in destination):
+        by_key: dict[int, list[tuple]] = {}
+        for record in records:
+            key = record[6][2]
+            group = by_key.get(key)
+            if group is None:
+                by_key[key] = [record]
+            else:
+                group.append(record)
+        term_of, wanted = result._term_of, sector_of(destination)
+        reached = [(term_of(key), group) for key, group in by_key.items()]
+        matched = sorted(
+            ((dest, group) for dest, group in reached if sector_of(dest) == wanted),
+            key=lambda entry: render_term(entry[0]),
+        ) or [(destination, [])]
+    else:
+        if statistics is Statistics.FERMION:
+            destination = canonical_fermion_term(destination)[0]
+        key = result._key_of(destination)  # None, which no record's key equals, past the width
+        matched = [(destination, [record for record in records if record[6][2] == key])]
+    groups = []
+    for dest, group in matched:
+        group.sort(key=lambda record: source_text(record[0]))
+        total = (0j, 0j)
+        if group:
+            # Every record of a group holds the same sum; an exact zero is pruned from sums.
+            ca, cb, _ = group[0][6]
+            if ca != 0 or cb != 0:
+                total = (ca, cb)
+        groups.append(PathGroup(dest, group, total))
+    return PathListing(groups, source_text)
+
+
 def path_report(
     result: ScatterResult, destination: ProductTerm
 ) -> dict[ProductTerm, tuple[list[PathRecord], tuple[complex, complex]]]:
     """The paths into a destination and its ``(ca, cb)`` sum, by destination term.
 
-    A destination that ``check_destination`` rejects raises ``ValueError``.
-    A fermionic destination is canonicalized, so any slot ordering of the
-    same Slater key selects the same report.  A fermionic destination with
-    no q labels selects every labelled destination of its sector, in
-    rendered order, or maps to itself with no paths when no path lands in
-    that sector, as when all are Pauli blocked.  Paths are ordered by their
-    source term's rendering; the stable sort keeps the scatter's order
-    within one source, which is process A before B, as only the two paths
-    of one slot pair can share a source and a destination.  A destination's
-    sum is its entry of ``result.sums``, or ``(0j, 0j)`` when it has none:
-    no path reaches it, or its paths cancel exactly.
+    The ``PathRecord`` view of ``group_paths``: the same destinations, in
+    the same order, each with its records as ``PathRecord``s in the same
+    order and its sum.  A fermionic destination is canonicalized, so any
+    slot ordering of the same Slater key selects the same report, and one
+    with no q labels selects every labelled destination of its sector.
     """
-    check_destination(destination, result._source.statistics, result._source.n)
-    by_destination: dict[ProductTerm, list[PathRecord]] = {}
-    for path in result.paths:
-        by_destination.setdefault(path.destination_term, []).append(path)
-    if result._source.statistics is not Statistics.FERMION:
-        matches = [destination]
-    elif all(slot.q is None for slot in destination):
-        wanted = sector_of(destination)
-        matches = sorted(
-            (dest for dest in by_destination if sector_of(dest) == wanted), key=render_term
-        ) or [destination]
-    else:
-        matches = [canonical_fermion_term(destination)[0]]
-    term_of = result._term_of  # cached; .paths on a result with records has filled it
-    totals = {term_of(key): (ca, cb) for ca, cb, key in result.sums}
-    text = cache(render_term)  # each source rendered once per call
+    sources = tuple(result._source.terms)
     return {
         dest: (
-            sorted(by_destination.get(dest, ()), key=lambda p: text(p.source_term)),
-            totals.get(dest, (0j, 0j)),
+            [
+                PathRecord(sources[index], PROCESSES[component], i, j, sign, value, dest)
+                for index, component, i, j, sign, value, _ in records
+            ],
+            total,
         )
-        for dest in matches
+        for dest, records, total in group_paths(result, destination).groups
     }

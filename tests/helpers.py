@@ -1,12 +1,13 @@
 """Term builders and state transformations shared by the test modules."""
 
-from mixbench.amplitudes import AmplitudeForm
-from mixbench.engine import source_sector
+from mixbench.amplitudes import AmplitudeForm, format_form
+from mixbench.engine import PROCESS_A, PathRecord, source_sector
 from mixbench.states import (
     ManyBodyState,
     ProductTerm,
     SingleParticleState,
     make_state,
+    render_term,
     sector_of,
 )
 
@@ -55,3 +56,32 @@ def sources_into(state: ManyBodyState, destination: ProductTerm) -> ManyBodyStat
     wanted = source_sector(destination)
     kept = {term: value for term, value in state.terms.items() if sector_of(term) == wanted}
     return ManyBodyState(state.statistics, state.n, kept)
+
+
+def contribution(path: PathRecord) -> tuple[complex, complex]:
+    """A path's ``(ca, cb)`` contribution: its value in process A's ca or process B's cb."""
+    return (path.value, 0j) if path.process == PROCESS_A else (0j, path.value)
+
+
+def render_path_table(paths: list[PathRecord]) -> str:
+    """The reference table of a destination's paths, as ``mixbench paths`` prints it.
+
+    Each column is left-aligned to its widest cell, a dashed rule sits under
+    the headers, and no line keeps trailing spaces or ends in a newline.
+    """
+    rows = [["source", "process", "slots", "sign", "contribution", "destination"]]
+    rows += [
+        [
+            render_term(p.source_term),
+            p.process,
+            f"{p.phi_slot},{p.psi_slot}",
+            f"{p.sign:+d}",
+            format_form(*contribution(p)),
+            render_term(p.destination_term),
+        ]
+        for p in paths
+    ]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
+    lines.insert(1, "  ".join("-" * width for width in widths))
+    return "\n".join(lines)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -12,13 +13,16 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbench import cli, oracle
 from mixbench.amplitudes import AmplitudeForm, format_complex, format_form, parse_complex
-from mixbench.cli import contribution, main, render_path_table
+from mixbench.cli import main
 from mixbench.engine import PROCESS_A, PROCESS_B, apply_first_order, path_report
 from mixbench.states import (
     Mode,
+    SingleParticleState,
     Statistics,
     coefficient_norm,
     coherent_initial_state,
@@ -26,7 +30,7 @@ from mixbench.states import (
     parse_term,
     render_term,
 )
-from helpers import b
+from helpers import b, contribution, render_path_table
 
 
 def run_cli(capsys, *argv):
@@ -1274,6 +1278,46 @@ def test_path_records_carry_provenance():
     assert "phi psi" in table and "A" in table
 
 
+def reference_listing(state, destination, sa, sb, fmt):
+    """The listing of the whole state's scatter, built from ``path_report``'s PathRecords.
+
+    Totals and values come from the final state's forms, and JSON from the
+    indenting encoder, so none of it shares the CLI's rendering.
+    """
+    result = apply_first_order(state)
+    forms = result.final_state.terms
+    entries = []
+    for dest, (paths, _) in path_report(result, parse_term(destination)).items():
+        form = forms.get(dest)
+        value = 0j if form is None else form.ca * parse_complex(sa) + form.cb * parse_complex(sb)
+        total = "0" if form is None else format_form(form.ca, form.cb)
+        entries.append((dest, paths, total, value))
+    if fmt == "json":
+        doc = [
+            {
+                "destination": render_term(dest),
+                "paths": [path_to_dict(p) for p in paths],
+                "total": total,
+                "value": format_complex(value),
+            }
+            for dest, paths, total, value in entries
+        ]
+        return json.dumps(doc, indent=2) + "\n"
+    at = f" at sa={format_complex(parse_complex(sa))}, sb={format_complex(parse_complex(sb))}"
+    gap = "" if len(entries) == 1 else "\n"
+    blocks = [
+        f"destination: {render_term(dest)}\n"
+        + (render_path_table(paths) + "\n" if paths else "")
+        + f"paths: {len(paths)}\ntotal: {total} = {format_complex(value)}{at}\n{gap}"
+        for dest, paths, total, value in entries
+    ]
+    if gap:
+        count = sum(len(paths) for _, paths, _, _ in entries)
+        blocks.append(f"matched destinations: {len(entries)}, paths: {count}\n")
+    return "".join(blocks)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
 @pytest.mark.parametrize(
     "state,flags,destination",
     [
@@ -1306,32 +1350,91 @@ def test_path_records_carry_provenance():
         ),
     ],
 )
-def test_paths_json_is_json_dumps_of_the_reference(capsys, state, flags, destination):
+def test_paths_listing_is_the_reference(capsys, state, flags, destination, fmt):
     sa, sb = "0.3-0.1i", "-0.7+0.2i"
     code, out, err = run_cli(
-        capsys, "paths", *flags, f"--sa={sa}", f"--sb={sb}", destination, "--format", "json"
+        capsys, "paths", *flags, f"--sa={sa}", f"--sb={sb}", destination, "--format", fmt
     )
     assert (code, err) == (0, "")
-    # The reference scatters the whole state and serializes with the indenting encoder.
-    result = apply_first_order(state)
-    doc = []
-    for dest, (paths, _) in path_report(result, parse_term(destination)).items():
-        form = result.final_state.terms.get(dest)
-        value = 0j if form is None else form.ca * parse_complex(sa) + form.cb * parse_complex(sb)
-        doc.append(
-            {
-                "destination": render_term(dest),
-                "paths": [path_to_dict(p) for p in paths],
-                "total": "0" if form is None else format_form(form.ca, form.cb),
-                "value": format_complex(value),
-            }
-        )
-    assert out == json.dumps(doc, indent=2) + "\n"
+    assert out == reference_listing(state, destination, sa, sb, fmt)
+
+
+@st.composite
+def listing_queries(draw):
+    """A point of either experiment and statistics, its CLI flags and one destination.
+
+    The destination is one the scatter reaches, that term with its slots
+    scrambled, an unlabelled sector, or a random term, which may be
+    unreachable or Pauli blocked or carry a q past every label of the point.
+    """
+    statistics = draw(st.sampled_from(list(Statistics)))
+    if draw(st.booleans()):
+        n1, n2, n3 = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        state = fock_initial_state(n1, n2, n3, statistics)
+        flags = ["--experiment", "type1", "--n1", str(n1), "--n2", str(n2), "--n3", str(n3)]
+    else:
+        n, epsilon = draw(st.integers(2, 5)), draw(st.sampled_from(["0", "0.2", "0.5"]))
+        state = coherent_initial_state(n, float(epsilon), statistics)
+        flags = ["--experiment", "type2", "--n", str(n), "--epsilon", epsilon]
+    fermion = statistics is Statistics.FERMION
+    reached = list(apply_first_order(state).final_state.terms)
+    kind = draw(st.sampled_from(["reached", "scrambled", "unlabelled", "random"]))
+    if kind in ("reached", "scrambled") and reached:
+        destination = draw(st.sampled_from(reached))
+        if kind == "scrambled":
+            destination = tuple(draw(st.permutations(destination)))
+    elif kind == "unlabelled":
+        destination = b(*draw(st.lists(st.sampled_from(list(Mode)), min_size=state.n,
+                                       max_size=state.n)))
+    else:
+        slot = st.tuples(st.sampled_from(list(Mode)),
+                         st.integers(1, state.n + 1) if fermion else st.none())
+        destination = draw(st.lists(slot, min_size=state.n, max_size=state.n,
+                                    unique=fermion))
+        destination = tuple(SingleParticleState(mode, q) for mode, q in destination)
+    sa, sb = draw(st.sampled_from([("1", "1"), ("1", "-1"), ("0.3-0.1i", "-0.7+0.2i")]))
+    argv = ["paths", "--statistics", statistics.value, *flags, f"--sa={sa}", f"--sb={sb}"]
+    return state, argv, render_term(destination), sa, sb
+
+
+@settings(max_examples=150, deadline=None)
+@given(listing_queries(), st.sampled_from(["json", "table"]))
+def test_paths_listing_is_the_reference_byte_for_byte(query, fmt):
+    state, argv, destination, sa, sb = query
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, destination, "--format", fmt]) == 0
+    assert out.getvalue() == reference_listing(state, destination, sa, sb, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_reading_the_paths_first_leaves_the_report_and_the_listing_alone(
+    capsys, monkeypatch, fmt
+):
+    """A traced run reads ``result.paths`` right after each scatter, before the listing."""
+    state = coherent_initial_state(5, 0.2, Statistics.FERMION)
+    destination = parse_term("phi psi v v u")
+    untouched = repr(path_report(apply_first_order(state), destination))
+    for paths in (True, False):
+        result = apply_first_order(state, paths=paths)
+        assert result.paths
+        assert repr(path_report(result, destination)) == untouched
+    code, expected, _ = run_cli(capsys, *SECTOR_5, "--format", fmt)
+    assert code == 0
+    scatter = cli.apply_first_order
+
+    def read_paths_first(*args, **kwargs):
+        result = scatter(*args, **kwargs)
+        assert result.paths
+        return result
+
+    monkeypatch.setattr(cli, "apply_first_order", read_paths_first)
+    assert run_cli(capsys, *SECTOR_5, "--format", fmt) == (0, expected, "")
 
 
 def test_paths_json_writes_an_empty_listing_as_json_dumps_does():
     written = []
-    cli.render_paths_json([], written.append)
+    cli.render_paths_json([], render_term, written.append)
     assert written == [json.dumps([], indent=2) + "\n"] == ["[]\n"]
 
 

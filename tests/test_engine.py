@@ -10,8 +10,10 @@ from mixbench.amplitudes import AmplitudeForm
 from mixbench.engine import (
     PROCESS_A,
     PROCESS_B,
+    ScatterResult,
     apply_first_order,
     check_destination,
+    group_paths,
     path_report,
     source_sector,
 )
@@ -256,6 +258,8 @@ def test_path_report_order_is_the_rendered_source_then_process_then_slots():
         dest: (sorted(paths, key=text_process_slots), total)
         for dest, (paths, total) in report.items()
     }
+    # The destinations too are in rendered order, which is not key order here.
+    assert list(report) == sorted(report, key=render_term) != sorted(report)
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
@@ -598,6 +602,95 @@ def test_path_report_gives_a_cancelled_destination_its_paths_and_a_zero_sum(stat
     paths, total = path_report(result, destination)[destination]
     assert [p.process for p in paths] == [PROCESS_A, PROCESS_A]
     assert repr(total) == repr((0j, 0j))
+
+
+def naive_report(state, destination):
+    """Reference ``path_report``: the naive paths into each matched destination and its sum.
+
+    Paths are sorted by rendered source, stable over the naive path order;
+    a sum is the naive final form's, or ``(0j, 0j)`` where there is none.
+    """
+    paths = naive_scatter(state)
+    forms = naive_path_order_sums(state)
+    if state.statistics is Statistics.BOSON:
+        matches = [destination]
+    elif all(slot.q is None for slot in destination):
+        reached = dict.fromkeys(path[6] for path in paths)
+        wanted = sector_of(destination)
+        matches = sorted((d for d in reached if sector_of(d) == wanted), key=render_term)
+        matches = matches or [destination]
+    else:
+        matches = [canonical_fermion_term(destination)[0]]
+    report = {}
+    for dest in matches:
+        into = sorted((path for path in paths if path[6] == dest), key=lambda p: render_term(p[0]))
+        form = forms.get(dest)
+        report[dest] = (into, (0j, 0j) if form is None else (form.ca, form.cb))
+    return report
+
+
+def report_queries(state):
+    """Every sector unlabelled, each reached destination reversed, and terms no path reaches."""
+    queries = [
+        b(*(PHI,) * n_phi + (PSI,) * n_psi + (V,) * n_v + (U,) * n_u)
+        for n_phi, n_psi, n_v, n_u in _sectors(state.n)
+    ]
+    reached = list(naive_path_order_sums(state))
+    if state.statistics is Statistics.FERMION:
+        queries += [dest[::-1] for dest in reached]
+        # Past the largest q of the state, and a term of only v and u slots.
+        width = 1 + max(slot.q for term in state.terms for slot in term)
+        queries.append(f((V, width), *((U, q) for q in range(1, state.n))))
+        queries.append(f(*((V, q) for q in range(1, state.n)), (U, 1)))
+    else:
+        queries += reached
+        queries.append(b(*(U,) * state.n))
+    return queries
+
+
+@pytest.mark.parametrize("state", _report_queries())
+def test_path_report_is_the_naive_report(state):
+    for destination in report_queries(state):
+        expected = repr(naive_report(state, destination))
+        for result in (apply_first_order(state), apply_first_order(state, paths=False)):
+            report = path_report(result, destination)
+            # repr tells signed zeros apart, which == does not
+            assert repr({
+                dest: ([tuple(path) for path in paths], total)
+                for dest, (paths, total) in report.items()
+            }) == expected, render_term(destination)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_a_single_destination_listing_decodes_no_key(statistics):
+    """A boson or labelled destination is encoded to its key: no reached key is decoded."""
+    state = coherent_initial_state(4, 0.2, statistics)
+    fermion = statistics is Statistics.FERMION
+    for destination in naive_path_order_sums(state):
+        query = destination[::-1] if fermion else destination
+        result = apply_first_order(state)
+        (group,) = group_paths(result, query).groups
+        assert "_term_of" not in vars(result)  # the decoder was never built
+        sector = group_paths(apply_first_order(state), b(*(slot.mode for slot in destination)))
+        assert [group] == [other for other in sector.groups if other.destination == destination]
+
+
+def test_a_q_label_past_the_state_reaches_nothing():
+    result = apply_first_order(fock_initial_state(2, 1, 0, Statistics.FERMION))
+    for destination in (f((PHI, 1), (V, 3), (U, 1)), f((PHI, 1), (V, 1), (U, 9))):
+        assert group_paths(result, destination).groups == [(destination, [], (0j, 0j))]
+
+
+def test_a_sum_that_cancels_to_a_signed_zero_reads_as_no_sum():
+    # The sum is the one every record of the destination holds; one whose
+    # parts are exact zeros, signed or not, is pruned from sums.
+    state = ManyBodyState(Statistics.BOSON, 2, {b(PHI, PSI): 1 + 0j})
+    cancelled = [complex(0.0, -0.0), -0j, 0b1011]
+    result = ScatterResult(state, [(0, 0, 0, 1, 1, 1 + 0j, cancelled)], {0b1011: cancelled}, 1)
+    assert result.sums == []
+    (group,) = group_paths(result, b(V, U)).groups
+    assert repr(group.total) == repr((0j, 0j))
+    assert [tuple(path) for path in result.paths] == [(b(PHI, PSI), PROCESS_A, 0, 1, 1, 1 + 0j, b(V, U))]
 
 
 TEST_STATES = [
