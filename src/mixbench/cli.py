@@ -194,16 +194,18 @@ class FockPoint(NamedTuple):
 
         A scatter tries both processes on each (phi slot, psi slot) pair of
         each term or key.  The fermion input is one Slater key, which both
-        exact routes walk.  The boson oracle's one occupation vector takes
-        one merged vertex, and the closed form walks nothing.
+        exact routes walk, and the boson input's C(n, n1)·C(n-n1, n2)
+        orderings each hold n1·n2 pairs.  The boson oracle's one occupation
+        vector takes one merged vertex, and the closed form walks nothing.
         """
         if engine == "closed":
             return 0
-        if self.statistics is Statistics.FERMION:
-            return 2 * self.n1 * self.n2
+        n1, n2, n3, statistics = self
+        if statistics is Statistics.FERMION:
+            return 2 * n1 * n2
         if engine == "oracle":
             return 1
-        return 2 * fock_counts(*self[:-1]).process_terms
+        return 2 * math.comb(self.n, n1) * math.comb(n2 + n3, n2) * n1 * n2
 
     def divergence_note(self) -> str | None:
         if self.statistics is Statistics.FERMION:
@@ -254,21 +256,21 @@ class CoherentPoint(NamedTuple):
 
         A scatter tries both processes on each (phi slot, psi slot) pair of
         each term or key.  ``firstq`` walks the 3^n terms of the expansion,
-        and so does a fermion oracle, whose Slater keys are those terms.
-        The boson oracle takes one merged vertex per occupation vector with
-        a phi and a psi, and the closed form walks nothing.
+        and so does a fermion oracle, whose Slater keys are those terms:
+        n(n-1) ordered slot pairs, each a phi and a psi in 3^(n-2) of them,
+        or in 2^(n-2) at epsilon = 0, where no term holds a v.  The boson
+        oracle takes one merged vertex per occupation vector with a phi and
+        a psi: n(n-1)/2 of them, or n-1 at epsilon = 0.  The closed form
+        walks nothing.  Where a sector's coefficient underflows to 0, as at
+        epsilon = 1e-300, the input holds fewer terms than counted here;
+        the count decides only whether a grid forks, never what it prints.
         """
         if engine == "closed":
             return 0
         n, epsilon, statistics = self
-        per_term = engine == "firstq" or statistics is Statistics.FERMION
-        paths = 0
-        for m in range(1, n):
-            for k in range(1, n - m + 1):
-                counts = coherent_counts(n, m, k, epsilon)
-                if counts.group_amplitude != 0:  # epsilon = 0 keeps only m + k = n
-                    paths += 2 * counts.process_terms if per_term else 1
-        return paths
+        if engine == "firstq" or statistics is Statistics.FERMION:
+            return 2 * n * (n - 1) * (3 if epsilon else 2) ** (n - 2)
+        return n * (n - 1) // 2 if epsilon else n - 1
 
     def divergence_note(self) -> str | None:
         return None
@@ -443,14 +445,14 @@ def engines_for(point: Point, requested: tuple[str, ...] | None, cap: int) -> tu
 def engine_evaluator(point: Point, engine: str) -> Evaluator:
     """One engine's callable (sa, sb) -> amplitude at one grid point, from its own input.
 
-    ``firstq`` scatters ``point.first_quantized()`` once, without per-path
-    records, and keeps only its (ca, cb) pairs: no final state is built.
+    ``firstq`` scatters ``point.first_quantized()`` once and keeps only its
+    (ca, cb) pairs: no final state is built.
     Evaluating them at concrete amplitudes is cheap, so sweeping several
     (sa, sb) pairs per point reuses the expensive part.  ``oracle`` reads
     ``point.occupation()`` and ``closed`` the point's closed form.
     """
     if engine == "firstq":
-        pairs = apply_first_order(point.first_quantized(), paths=False).coefficients
+        pairs = apply_first_order(point.first_quantized()).coefficients
         return partial(coefficient_norm, pairs)
     if engine == "oracle":
         initial = point.occupation()
@@ -863,7 +865,7 @@ def render_paths_json(
         tail = f'        "destination": {dest_text}\n      }}'
         listed = [
             f"{head(index)}{fields(component, i, j, sign, path_value)}{tail}"
-            for index, component, i, j, sign, path_value, _ in records
+            for index, component, i, j, sign, path_value in records
         ]
         paths = "[\n" + ",\n".join(listed) + "\n    ]" if listed else "[]"
         write(
@@ -918,7 +920,7 @@ def render_paths_table(
                     contribution(component, path_value),
                     dest_text,
                 ]
-                for index, component, i, j, sign, path_value, _ in records
+                for index, component, i, j, sign, path_value in records
             ]
             table = text_table(headers, rows) + "\n"
         write(

@@ -20,6 +20,7 @@ from mixbench import cli, oracle
 from mixbench.amplitudes import AmplitudeForm, format_complex, format_form, parse_complex
 from mixbench.cli import main
 from mixbench.engine import PROCESS_A, PROCESS_B, apply_first_order, path_report
+from mixbench.formulas import coherent_counts, fock_counts
 from mixbench.states import (
     Mode,
     SingleParticleState,
@@ -282,11 +283,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def paths_flag(*args, **kwargs):
-    return kwargs.get("paths", True)
-
-
-def log_calls(monkeypatch, name, log, detail=paths_flag):
+def log_calls(monkeypatch, name, log, detail=lambda *args, **kwargs: "call"):
     """Append the pid and ``detail`` of each call of cli.<name> to a file.
 
     A file, because a pool worker's calls would not reach a list of this process.
@@ -334,18 +331,19 @@ VERIFY_3 = ("verify", "--nmax", "3", "--out", "report.json")
         pytest.param(VERIFY_3, True, id="verify-pooled"),
     ],
 )
-def test_only_paths_scatters_with_records(capsys, monkeypatch, tmp_path, argv, pooled):
+def test_each_command_scatters_in_the_process_its_grid_runs_in(
+    capsys, monkeypatch, tmp_path, argv, pooled
+):
     force_pool(monkeypatch, pooled)
     log_calls(monkeypatch, "apply_first_order", tmp_path / "scatters.log")
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     calls = logged_calls(tmp_path / "scatters.log")
-    seen = [flag == "True" for _, flag in calls]
     if argv[0] == "paths":
-        assert seen == [True]  # one scatter, whose records the listing reads
+        assert len(calls) == 1  # one sector scatter, whose sums the listing reads
     else:
-        assert seen and not any(seen)
+        assert calls
     # A pooled grid scatters only in workers; a serial one only here.
     assert {pid != os.getpid() for pid, _ in calls} == {pooled}
     assert_no_child_left()
@@ -568,38 +566,77 @@ def test_without_an_affinity_mask_the_cpu_count_sizes_the_pool(monkeypatch):
     assert cli._available_cpus() == 1
 
 
-@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
-@pytest.mark.parametrize(
-    "point_type,counts",
-    [
-        (cli.FockPoint, (1, 1, 0)),
-        (cli.FockPoint, (3, 2, 1)),
-        (cli.FockPoint, (2, 3, 4)),
-        (cli.CoherentPoint, (2, 0.0)),
-        (cli.CoherentPoint, (4, 0.0)),
-        (cli.CoherentPoint, (4, 0.2)),
-        (cli.CoherentPoint, (5, 0.5)),
-    ],
-    ids=[f"point{i}" for i in range(7)],
-)
-def test_point_paths_count_what_the_scatter_attempts(statistics, point_type, counts):
-    """Each term or fermion key tries both processes on every (phi slot, psi slot) pair."""
-    point = point_type(*counts, statistics)
+def attempted_paths(point, engine):
+    """The paths ``engine`` attempts at the point, counted on the input it builds.
 
-    def attempted(terms):
+    Each term or fermion key tries both processes on every (phi slot, psi
+    slot) pair; the boson oracle takes one merged vertex per occupation
+    vector with a phi and a psi.
+    """
+
+    def per_pair(terms):
         total = 0
         for term in terms:
             modes = [slot.mode for slot in term]
             total += 2 * modes.count(Mode.PHI) * modes.count(Mode.PSI)
         return total
 
-    assert point.paths("firstq") == attempted(point.first_quantized().terms)
+    if engine == "firstq":
+        return per_pair(point.first_quantized().terms)
     keys = point.occupation().terms
-    if statistics is Statistics.FERMION:
-        assert point.paths("oracle") == attempted(keys)
-    else:  # one merged vertex per occupation vector with a phi and a psi
-        assert point.paths("oracle") == sum(1 for n_phi, n_psi, _, _ in keys if n_phi and n_psi)
+    if point.statistics is Statistics.FERMION:
+        return per_pair(keys)
+    return sum(1 for n_phi, n_psi, _, _ in keys if n_phi and n_psi)
+
+
+def small_points():
+    """Every type1 point with n <= 7 and type2 with n <= 7 at eps 0, 0.2 and 0.5, and (2,3,4)."""
+    for statistics in Statistics:
+        for n1 in range(1, 7):
+            for n2 in range(1, 8 - n1):
+                for n3 in range(8 - n1 - n2):
+                    yield cli.FockPoint(n1, n2, n3, statistics)
+        yield cli.FockPoint(2, 3, 4, statistics)
+        for n in range(2, 8):
+            for epsilon in (0.0, 0.2, 0.5):
+                yield cli.CoherentPoint(n, epsilon, statistics)
+
+
+@pytest.mark.parametrize(
+    "point", small_points(), ids=lambda p: f"{p.statistics.value} {p.experiment} {p.text()}"
+)
+def test_point_paths_count_what_the_scatter_attempts(point):
+    for engine in ("firstq", "oracle"):
+        assert point.paths(engine) == attempted_paths(point, engine)
     assert point.paths("closed") == 0
+
+
+def sector_loop_paths(point, engine):
+    """The per-sector sum that once predicted a type2 point's paths, kept as the reference."""
+    n, epsilon, statistics = point
+    per_term = engine == "firstq" or statistics is Statistics.FERMION
+    paths = 0
+    for m in range(1, n):
+        for k in range(1, n - m + 1):
+            counts = coherent_counts(n, m, k, epsilon)
+            if counts.group_amplitude != 0:  # epsilon = 0 keeps only m + k = n
+                paths += 2 * counts.process_terms if per_term else 1
+    return paths
+
+
+def test_point_paths_are_the_counting_functions_closed():
+    for statistics in Statistics:
+        for n in range(2, 31):
+            for epsilon in (0.0, 0.1, 0.2, 1 / 3, 0.5, 0.9):
+                point = cli.CoherentPoint(n, epsilon, statistics)
+                for engine in ("firstq", "oracle"):
+                    assert point.paths(engine) == sector_loop_paths(point, engine), (point, engine)
+        for n1 in range(1, 8):
+            for n2 in range(1, 8):
+                for n3 in range(6):
+                    point = cli.FockPoint(n1, n2, n3, statistics)
+                    if statistics is Statistics.BOSON:
+                        assert point.paths("firstq") == 2 * fock_counts(n1, n2, n3).process_terms
 
 
 SIGNED_ZERO_PAIRS = [
@@ -1415,10 +1452,9 @@ def test_reading_the_paths_first_leaves_the_report_and_the_listing_alone(
     state = coherent_initial_state(5, 0.2, Statistics.FERMION)
     destination = parse_term("phi psi v v u")
     untouched = repr(path_report(apply_first_order(state), destination))
-    for paths in (True, False):
-        result = apply_first_order(state, paths=paths)
-        assert result.paths
-        assert repr(path_report(result, destination)) == untouched
+    result = apply_first_order(state)
+    assert result.paths
+    assert repr(path_report(result, destination)) == untouched
     code, expected, _ = run_cli(capsys, *SECTOR_5, "--format", fmt)
     assert code == 0
     scatter = cli.apply_first_order
@@ -1474,7 +1510,7 @@ def test_paths_writes_its_listing_one_destination_at_a_time(capsys, monkeypatch,
 
 
 def test_the_json_listing_peaks_below_the_document_it_writes(monkeypatch):
-    """The listing is never held whole: its peak is the scatter's records, not the text."""
+    """The listing is never held whole: its peak is the sector's sums and paths, not the text."""
     monkeypatch.setattr(sys, "stdout", SpyStdout())
     argv = [*PATHS_PROVENANCE, "--format", "json"]
     assert main(argv) == 0  # fills this process's caches, which later listings share
@@ -1488,6 +1524,29 @@ def test_the_json_listing_peaks_below_the_document_it_writes(monkeypatch):
         tracemalloc.stop()
     assert sum(spy.sizes) > 4_000_000
     assert peak < sum(spy.sizes)
+
+
+def test_a_boson_destination_listing_keeps_no_record_per_sector_path(monkeypatch):
+    """The sector scatter keeps only its sums; the listing walks back from one key.
+
+    The (4,3,3) source sector scatters along 100,800 paths into 12,600
+    keys.  Its listing peaked at about 3.9 MB under ``tracemalloc`` when
+    measured, and at 14.2 MB while the scatter kept a record per path.
+    """
+    argv = ["paths", "--experiment", "type1", "--statistics", "boson", "--n1", "4", "--n2", "3",
+            "--n3", "3", "--format", "json", "phi phi phi psi psi v v v v u"]
+    monkeypatch.setattr(sys, "stdout", SpyStdout())
+    assert main(argv) == 0  # fills this process's caches, which later listings share
+    spy = SpyStdout(keep=True)
+    monkeypatch.setattr(sys, "stdout", spy)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert '"phi_slot"' in "".join(spy.texts)
+    assert peak < 8_000_000
 
 
 # A type2 fermion sector point whose unlabelled destination matches several terms.

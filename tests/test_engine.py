@@ -10,6 +10,7 @@ from mixbench.amplitudes import AmplitudeForm
 from mixbench.engine import (
     PROCESS_A,
     PROCESS_B,
+    PROCESSES,
     ScatterResult,
     apply_first_order,
     check_destination,
@@ -297,14 +298,14 @@ def test_the_coherent_input_scatters_one_sector_at_a_time(n, statistics):
         for k in range(n - m + 1):
             sector = SectorSpec(m, k, n - m - k, 0)
             piece = coherent_initial_state(n, 0.2, statistics, sector=sector)
-            sums = apply_first_order(piece, paths=False).sums
+            sums = apply_first_order(piece).sums
             keys = {key for _, _, key in sums}
             assert seen.isdisjoint(keys)
             seen |= keys
             merged += sums
     # Ascending packed boson keys and descending fermion masks are canonical order.
     merged.sort(key=lambda total: total[2], reverse=statistics is Statistics.FERMION)
-    assert repr(apply_first_order(whole, paths=False).sums) == repr(merged)
+    assert repr(apply_first_order(whole).sums) == repr(merged)
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
@@ -325,10 +326,9 @@ def test_the_state_builders_leave_no_garbage_cycle():
                 state = coherent_initial_state(8, 0.2, statistics, sector=sector)
                 assert state.terms
                 # A result reads every view, so its cached decoder is built.
-                for paths in (True, False):
-                    result = apply_first_order(state, paths=paths)
-                    assert result.coefficients and result.final_state.terms and result.paths
-                    del result
+                result = apply_first_order(state)
+                assert result.coefficients and result.final_state.terms and result.paths
+                del result
                 del state
         assert gc.collect() == 0
     finally:
@@ -490,11 +490,10 @@ VIEWS = ("coefficients", "final_state", "paths")
 
 
 def results_read_in_every_order(state):
-    """A result with and without records per order of the views, each view read in that order."""
-    for paths in (True, False):
-        for order in permutations(VIEWS):
-            result = apply_first_order(state, paths=paths)
-            yield result, {view: getattr(result, view) for view in order}
+    """A result per order of the views, each view read in that order."""
+    for order in permutations(VIEWS):
+        result = apply_first_order(state)
+        yield result, {view: getattr(result, view) for view in order}
 
 
 def test_paths_are_built_once_and_leave_the_final_state_alone():
@@ -515,9 +514,9 @@ def test_paths_decode_each_destination_once(statistics):
         result = apply_first_order(state)
         destinations = {path.destination_term for path in result.paths}
         decoded = result._term_of.cache_info()
-        # One decode per destination; every further path into it is a cache hit.
+        # The walk starts once from each reached key, which is decoded once.
         assert decoded.misses == len(destinations)
-        assert decoded.hits == len(result.paths) - len(destinations)
+        assert decoded.hits == 0
     # The cancelled destination is decoded for its paths, though pruned from the state.
     assert set(result.final_state.terms) < destinations
 
@@ -652,13 +651,12 @@ def report_queries(state):
 def test_path_report_is_the_naive_report(state):
     for destination in report_queries(state):
         expected = repr(naive_report(state, destination))
-        for result in (apply_first_order(state), apply_first_order(state, paths=False)):
-            report = path_report(result, destination)
-            # repr tells signed zeros apart, which == does not
-            assert repr({
-                dest: ([tuple(path) for path in paths], total)
-                for dest, (paths, total) in report.items()
-            }) == expected, render_term(destination)
+        report = path_report(apply_first_order(state), destination)
+        # repr tells signed zeros apart, which == does not
+        assert repr({
+            dest: ([tuple(path) for path in paths], total)
+            for dest, (paths, total) in report.items()
+        }) == expected, render_term(destination)
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
@@ -682,11 +680,11 @@ def test_a_q_label_past_the_state_reaches_nothing():
 
 
 def test_a_sum_that_cancels_to_a_signed_zero_reads_as_no_sum():
-    # The sum is the one every record of the destination holds; one whose
-    # parts are exact zeros, signed or not, is pruned from sums.
+    # A reached key whose parts are exact zeros, signed or not, is pruned
+    # from sums, and still walked back from.
     state = ManyBodyState(Statistics.BOSON, 2, {b(PHI, PSI): 1 + 0j})
     cancelled = [complex(0.0, -0.0), -0j, 0b1011]
-    result = ScatterResult(state, [(0, 0, 0, 1, 1, 1 + 0j, cancelled)], {0b1011: cancelled}, 1)
+    result = ScatterResult(state, {0b1011: cancelled}, 1)
     assert result.sums == []
     (group,) = group_paths(result, b(V, U)).groups
     assert repr(group.total) == repr((0j, 0j))
@@ -716,17 +714,8 @@ def test_scatter_matches_naive_on_test_states(statistics, build):
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 @pytest.mark.parametrize("build", TEST_STATES)
-def test_recordless_scatter_gives_the_same_state_and_paths(statistics, build):
-    state = build(statistics)
-    recorded = apply_first_order(state)
-    recordless = apply_first_order(state, paths=False)
-    # repr tells signed zeros apart, which == does not
-    assert [(term, repr(form)) for term, form in recordless.final_state.terms.items()] == [
-        (term, repr(form)) for term, form in recorded.final_state.terms.items()
-    ]
-    # the first read replays the scatter with records, and is cached
-    assert recordless.paths == recorded.paths
-    assert recordless.paths is recordless.paths
+def test_the_walk_back_sums_to_the_kernel_on_test_states(statistics, build):
+    assert_walk_matches_kernel(build(statistics))
 
 
 def forms_by_repr(terms):
@@ -762,9 +751,8 @@ def naive_path_order_sums(state):
 def test_lazy_final_state_matches_naive_bit_for_bit(statistics, build):
     state = build(statistics)
     expected = forms_by_repr(naive_path_order_sums(state))
-    for paths in (False, True):
-        result = apply_first_order(state, paths=paths)
-        assert forms_by_repr(result.final_state.terms) == expected
+    result = apply_first_order(state)
+    assert forms_by_repr(result.final_state.terms) == expected
 
 
 @st.composite
@@ -794,7 +782,7 @@ def boson_states(draw):
 def test_packed_boson_keys_match_naive(state):
     # Unsorted multi-term inputs: destinations of different sources collide.
     assert_matches_naive(state)
-    final = apply_first_order(state, paths=False).final_state
+    final = apply_first_order(state).final_state
     assert forms_by_repr(final.terms) == forms_by_repr(naive_path_order_sums(state))
 
 
@@ -834,21 +822,73 @@ def pattern_sharing_boson_states(draw):
     return ManyBodyState(Statistics.BOSON, n, {key: complex(c) for key, c in zip(keys, values)})
 
 
+@st.composite
+def walked_states(draw):
+    """A small type1 or type2 input of either statistics, with its own or redrawn coefficients.
+
+    Redrawn coefficients are signed zeros and +-0.5 or +-0.25, whose sums
+    are exact, or +-0.5 alone, so that paths into one key often cancel
+    exactly.
+    """
+    statistics = draw(st.sampled_from(list(Statistics)))
+    if draw(st.booleans()):
+        counts = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2)))
+        state = fock_initial_state(*counts, statistics)
+    else:
+        n, epsilon = draw(st.integers(2, 5)), draw(st.sampled_from([0.0, 0.2, 0.5]))
+        state = coherent_initial_state(n, epsilon, statistics)
+    values = draw(st.sampled_from([None, EXACT_VALUES, [0.5 + 0j, -0.5 + 0j]]))
+    if values is None:
+        return state
+    size = len(state.terms)
+    drawn = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    return ManyBodyState(statistics, state.n, dict(zip(state.terms, drawn)))
+
+
+def assert_walk_matches_kernel(state):
+    """Per reached key, the walked paths are the naive ones and sum to the kernel's ``[ca, cb]``.
+
+    A key's walked values are summed in path order from its first
+    contribution, as the kernel sums them, and compared by ``repr``, which
+    tells signed zeros apart.
+    """
+    result = apply_first_order(state)
+    expected, walked = {}, {}
+    for path in naive_scatter(state):
+        expected.setdefault(path[6], []).append(path)
+    for path in result.paths:
+        walked.setdefault(path.destination_term, []).append(tuple(path))
+    reached = {result._term_of(key): total for key, total in result._reached.items()}
+    assert set(walked) == set(expected) == set(reached)
+    for dest, paths in walked.items():
+        assert repr(paths) == repr(expected[dest])
+        sums = [0j, 0j]
+        for at, (_, process, _, _, _, value, _) in enumerate(paths):
+            component = PROCESSES.index(process)
+            sums[component] = value if at == 0 else sums[component] + value
+        assert repr(sums) == repr(reached[dest][:2])
+    assert result.paths is result.paths  # walked once, on the first read
+
+
+@settings(max_examples=100, deadline=None)
+@given(walked_states())
+def test_the_walk_back_finds_the_naive_paths_and_the_kernel_sums(state):
+    assert_walk_matches_kernel(state)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pattern_sharing_boson_states())
 def test_boson_terms_sharing_a_layout_match_naive(state):
     # Later terms of a layout reuse the lift lists its first term built.
     expected = naive_path_order_sums(state)
-    recordless = apply_first_order(state, paths=False)
+    result = apply_first_order(state)
     # repr tells signed zeros apart, which == does not
-    assert repr([(recordless._term_of(key), ca, cb) for ca, cb, key in recordless.sums]) == repr(
+    assert repr([(result._term_of(key), ca, cb) for ca, cb, key in result.sums]) == repr(
         [(term, form.ca, form.cb) for term, form in expected.items()]
     )
-    recorded = apply_first_order(state, paths=True)
-    assert repr([tuple(path) for path in recorded.paths]) == repr(naive_scatter(state))
+    assert repr([tuple(path) for path in result.paths]) == repr(naive_scatter(state))
 
 
-@pytest.mark.parametrize("paths", [True, False])
 @pytest.mark.parametrize(
     "bad,message",
     [
@@ -856,11 +896,11 @@ def test_boson_terms_sharing_a_layout_match_naive(state):
         ((), "product term needs at least one slot"),
     ],
 )
-def test_rejects_a_boson_term_that_validate_term_refuses(bad, message, paths):
+def test_rejects_a_boson_term_that_validate_term_refuses(bad, message):
     one = 1 + 0j
     for terms in ({bad: one}, {b(PHI, PSI): one, bad: one}):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            apply_first_order(ManyBodyState(Statistics.BOSON, 2, terms), paths=paths)
+            apply_first_order(ManyBodyState(Statistics.BOSON, 2, terms))
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
@@ -893,7 +933,7 @@ SIGNED_ZERO_PAIRS = [
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
 @pytest.mark.parametrize("build", TEST_STATES)
 def test_coefficient_norm_is_state_norm_bit_for_bit(statistics, build):
-    result = apply_first_order(build(statistics), paths=False)
+    result = apply_first_order(build(statistics))
     pairs = result.coefficients
     for sa, sb in SIGNED_ZERO_PAIRS:
         assert coefficient_norm(pairs, sa, sb) == evaluated_norm(result.final_state, sa, sb)
@@ -914,9 +954,9 @@ def test_non_finite_sums_raise_the_form_error_when_read():
     state = ManyBodyState(Statistics.BOSON, 3, dict.fromkeys(orderings, big))
     message = r"^ca must be finite, got \(inf\+0j\)$"
     with pytest.raises(ValueError, match=message):
-        apply_first_order(state, paths=False).coefficients
+        apply_first_order(state).coefficients
     with pytest.raises(ValueError, match=message):
-        apply_first_order(state, paths=False).final_state
+        apply_first_order(state).final_state
 
 
 def test_rejects_non_canonical_fermion_key():
@@ -944,4 +984,4 @@ def test_rejects_a_fermion_q_label_that_is_not_an_int_from_one(q):
         key = (SingleParticleState(PHI, q), SingleParticleState(PSI, psi_q))
         for terms in ({key: one}, {f((PHI, 1), (PSI, 2)): one, key: one}):
             with pytest.raises(ValueError, match="^fermionic state keys must be canonical$"):
-                apply_first_order(ManyBodyState(Statistics.FERMION, 2, terms), paths=False)
+                apply_first_order(ManyBodyState(Statistics.FERMION, 2, terms))

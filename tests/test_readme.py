@@ -1,10 +1,14 @@
-"""The README's library example runs and gives the values its comments state."""
+"""The README's library example and command-line examples give what the README shows."""
 
 import ast
 import math
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from mixbench.cli import main
 from mixbench.states import parse_term
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,3 +62,58 @@ def test_library_use_block_gives_the_values_its_comments_state():
     assert len(paths) == 4
     assert ca == cb
     assert abs(ca - 2 / math.sqrt(6)) < 1e-15
+
+
+def command_line_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ mixbench ...`` block under ``## Command line``: its command and shown lines."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        command, *shown = block.rstrip("\n").split("\n")
+        if command.startswith("$ mixbench "):
+            examples.append((command[2:], shown))
+    return examples
+
+
+def shown_in(shown: list[str], lines: list[str]) -> bool:
+    """Whether the output lines show the README's lines.
+
+    Without a ``...`` the output must be exactly the shown lines.  With
+    one, the shown lines must appear in the output in order: a line
+    ``...`` stands for lines left out, and a line that opens with ``...``
+    for the head of an output line, so it matches a line that ends with
+    the rest.
+    """
+    if not any(line.startswith("...") for line in shown):
+        return lines == shown
+    rest = iter(lines)
+    for line in shown:
+        if line == "...":
+            continue
+        tail = line[3:] if line.startswith("...") else None
+        if not any(out == line or (tail is not None and out.endswith(tail)) for out in rest):
+            return False
+    return True
+
+
+EXAMPLES = command_line_examples()
+
+
+def test_the_command_line_section_has_every_subcommands_example():
+    assert [shlex.split(command)[1] for command, _ in EXAMPLES] == [
+        "run", "run", "run", "paths", "verify"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command,shown", EXAMPLES, ids=[" ".join(shlex.split(c)[1:3]) for c, _ in EXAMPLES]
+)
+def test_a_command_line_example_prints_the_lines_it_shows(
+    capsys, monkeypatch, tmp_path, command, shown
+):
+    monkeypatch.chdir(tmp_path)  # where verify writes its --out report
+    code = main(shlex.split(command)[1:])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert shown_in(shown, out.splitlines()), out
